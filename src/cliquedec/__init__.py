@@ -12,10 +12,12 @@ from .chordal import (
 )
 from .covers import (
     CoverWindow,
+    FoldResult,
     GraphDecomposition,
     VoltagePresentation,
     derive_window,
     fold,
+    fold_pipeline,
     lift_project_clique,
     periodic_N,
     r_acyclic_check,

@@ -11,21 +11,19 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .chordal import is_chordal, is_r_locally_chordal, maximal_cliques
 from .covers import (
     VoltagePresentation,
-    derive_window,
-    fold,
+    fold_pipeline,
     r_acyclic_check,
     verify_graph_decomposition,
 )
-from .errors import CliquedecError, OutOfRange
+from .errors import CliquedecError, OutOfRange, WindowNotChordal
 from .graph import Graph
 from .instances import make_instance, star
-from .nested import construct_N, verify_N
-from .separations import Separation
+from .nested import construct_N
 from .symmetry import automorphism_generators, verify_canonical_td
 from .treedec import (
     TreeDecomposition,
@@ -143,14 +141,11 @@ def cmd_local_chordal(args) -> int:
 
 def cmd_fold(args) -> int:
     pres = _load_voltage(args.voltage)
-    win = derive_window(pres, args.L)
-    ok, cert = is_chordal(win.window)
-    if not ok:
-        _emit(args, {"window_chordal": False, "hole": cert})
+    try:
+        gd = fold_pipeline(pres, args.L).gd
+    except WindowNotChordal as exc:
+        _emit(args, {"window_chordal": False, "hole": exc.hole})
         return 1
-    n = construct_N(win.window)
-    td = build_td_from_nested(win.window, n.union)
-    gd = fold(pres, win, td)
     vr = verify_graph_decomposition(pres.base, gd)
     _emit(
         args,
@@ -174,23 +169,15 @@ def cmd_verify_td(args) -> int:
 
 def cmd_verify_gd(args) -> int:
     g = _load_graph(args.infile)
-    pres = _load_voltage(args.voltage)
-    win = derive_window(pres, args.L)
-    n = construct_N(win.window)
-    td = build_td_from_nested(win.window, n.union)
-    gd = fold(pres, win, td)
+    gd = fold_pipeline(_load_voltage(args.voltage), args.L).gd
     report = verify_graph_decomposition(g, gd)
-    _emit(args, {k: v for k, v in report.items()})
+    _emit(args, report)
     return 0 if report["ok"] else 1
 
 
 def cmd_r_acyclic(args) -> int:
     g = _load_graph(args.infile)
-    pres = _load_voltage(args.voltage)
-    win = derive_window(pres, args.L)
-    n = construct_N(win.window)
-    td = build_td_from_nested(win.window, n.union)
-    gd = fold(pres, win, td)
+    gd = fold_pipeline(_load_voltage(args.voltage), args.L).gd
     flag, info = r_acyclic_check(g, gd, args.r, seed=args.seed)
     _emit(args, {"r_acyclic": flag, "r": args.r, **info})
     return 0 if flag else 1
@@ -305,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap (advisory)")
         return p
 
     p = add("check-chordal", cmd_check_chordal, help="chordality with certificate")

@@ -9,25 +9,31 @@ computed orbit-wise and folded into a graph-decomposition of the base.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .chordal import is_chordal, maximal_cliques
 from .errors import (
     ActionMismatch,
     BallNotPreserved,
-    BudgetExceeded,
     LiftCrossesBoundary,
     NotAClique,
     PreconditionViolated,
-    Unstable,
     WindowNotChordal,
 )
 from .graph import Graph
-from .nested import construct_N
+from .nested import NestedSetLevels, construct_N
 from .separations import Separation
-from .treedec import TreeDecomposition, build_td_from_nested, classify_td
+from .treedec import (
+    TreeDecomposition,
+    _bags_are_maximal_cliques,
+    _to_dot,
+    _uncovered,
+    build_td_from_nested,
+    classify_td,
+)
 
 # -- free-group words ---------------------------------------------------
 
@@ -49,10 +55,6 @@ def word_mul(a: Word, b: Word) -> Word:
 
 def word_inv(a: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(a))
-
-
-def word_len(a: Word) -> int:
-    return len(a)
 
 
 def parse_word(s: str) -> Word:
@@ -294,16 +296,9 @@ def verify_cover(pres: VoltagePresentation, r: int, L: int) -> dict:
             raise BallNotPreserved(x)
 
     # (c) free action on cliques: K and gamma K are disjoint
-    gens = pres.generators()
-    step = max(1, pres.max_voltage_length())
-    gammas = [w for w in _all_words(gens, 2) if w != IDENTITY]
-    ok, _ = is_chordal(win.window)
-    cliques = (
-        [c.vertices for c in maximal_cliques(win.window, require_chordal=False)]
-        if len(win.window) <= 400
-        else []
-    )
-    for kq in cliques:
+    gammas = [w for w in _all_words(pres.generators(), 2) if w != IDENTITY]
+    for c in maximal_cliques(win.window, require_chordal=False):
+        kq = c.vertices
         if not all(win.safe(x, 2) for x in kq):
             continue
         for gamma in gammas:
@@ -438,7 +433,7 @@ def _window_nested_set(pres: VoltagePresentation, L: int):
     win = derive_window(pres, L)
     ok, cert = is_chordal(win.window)
     if not ok:
-        raise WindowNotChordal(f"window at L={L} has a hole: {cert}")
+        raise WindowNotChordal(L, cert)
     n = construct_N(win.window)
     return win, n
 
@@ -499,14 +494,7 @@ class GraphDecomposition:
         }
 
     def to_dot(self) -> str:
-        lines = ["graph graphdec {"]
-        for h in self.model.vertices:
-            label = "{" + ",".join(sorted(self.bags[h])) + "}"
-            lines.append(f'  "{h}" [label="{label}"];')
-        for u, v in self.model.edges():
-            lines.append(f'  "{u}" -- "{v}";')
-        lines.append("}")
-        return "\n".join(lines)
+        return _to_dot("graphdec", self.model, self.bags)
 
     def to_graphml(self) -> str:
         lines = [
@@ -582,24 +570,40 @@ def fold(
     return GraphDecomposition(model=model, bags=bags, coparts=coparts)
 
 
+@dataclass(frozen=True)
+class FoldResult:
+    """Every stage of one fold: the window, its canonical nested set and
+    tree-decomposition, and the graph-decomposition of the base."""
+
+    window: CoverWindow
+    nested: NestedSetLevels
+    td: TreeDecomposition
+    gd: GraphDecomposition
+
+
+def fold_pipeline(pres: VoltagePresentation, L: int) -> FoldResult:
+    """Derive the window of radius L, build its canonical tree-decomposition
+    and fold it into a graph-decomposition of the base.
+
+    Raises WindowNotChordal, carrying the hole, when the window is not
+    chordal.
+    """
+    win, n = _window_nested_set(pres, L)
+    td = build_td_from_nested(win.window, n.union)
+    return FoldResult(window=win, nested=n, td=td, gd=fold(pres, win, td))
+
+
 def verify_graph_decomposition(g: Graph, gd: GraphDecomposition) -> dict:
     """Coverage of vertices and edges, connected co-parts inside the right
     model subgraphs, and the into-cliques flags."""
+    bag_list = list(gd.bags.values())
+    uncovered_vertices, uncovered_edges = _uncovered(g, bag_list)
     report = {
-        "h1_uncovered_vertices": [],
-        "h1_uncovered_edges": [],
+        "h1_uncovered_vertices": uncovered_vertices,
+        "h1_uncovered_edges": uncovered_edges,
         "h2_failures": [],
-        "into_cliques": all(g.is_clique(b) for b in gd.bags.values()),
+        "into_cliques": all(g.is_clique(b) for b in bag_list),
     }
-    covered = set()
-    for b in gd.bags.values():
-        covered |= b
-    for v in g.vertices:
-        if v not in covered:
-            report["h1_uncovered_vertices"].append(v)
-    for u, v in g.edges():
-        if not any(u in b and v in b for b in gd.bags.values()):
-            report["h1_uncovered_edges"].append((u, v))
     for v in g.vertices:
         sub = gd.coparts.get(v)
         if sub is None or len(sub) == 0:
@@ -612,13 +616,8 @@ def verify_graph_decomposition(g: Graph, gd: GraphDecomposition) -> dict:
             report["h2_failures"].append((v, "co-part edge missing from model"))
         if not sub.is_connected():
             report["h2_failures"].append((v, "co-part disconnected"))
-    bag_list = list(gd.bags.values())
-    cliques = {c.vertices for c in maximal_cliques(g, require_chordal=False)}
-    report["into_maximal_cliques"] = (
-        report["into_cliques"]
-        and len(bag_list) == len(set(bag_list))
-        and set(bag_list) == cliques
-    )
+    into_max = report["into_cliques"] and _bags_are_maximal_cliques(g, bag_list)
+    report["into_maximal_cliques"] = into_max
     report["ok"] = not (
         report["h1_uncovered_vertices"]
         or report["h1_uncovered_edges"]
@@ -640,7 +639,7 @@ def r_acyclic_check(
     a seeded random sample; the witness is (X, cycle) on failure.
     """
     vs = list(g.vertices)
-    total = sum(_ncr(len(vs), k) for k in range(1, min(r, len(vs)) + 1))
+    total = sum(math.comb(len(vs), k) for k in range(1, min(r, len(vs)) + 1))
     subsets: Iterable[Tuple[str, ...]]
     exhaustive = total <= budget
     if exhaustive:
@@ -667,12 +666,6 @@ def r_acyclic_check(
         if cycle is not None:
             return False, {"X": list(x), "cycle": cycle, "exhaustive": exhaustive}
     return True, {"checked": checked, "exhaustive": exhaustive}
-
-
-def _ncr(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 def _find_cycle(g: Graph) -> Optional[List[str]]:
@@ -727,16 +720,16 @@ def theorem3_pipeline(g: Graph, r: int, cover: VoltagePresentation, L: int) -> d
         "decomposition": None,
         "window_td_into_cliques": None,
     }
-    win = derive_window(cover, L)
-    ok, cert = is_chordal(win.window)
-    report["window_chordal"] = ok
-    if ok:
-        n = construct_N(win.window)
-        td = build_td_from_nested(win.window, n.union)
-        report["window_td_into_cliques"] = classify_td(win.window, td).into_cliques
-        gd = fold(cover, win, td)
-        vr = verify_graph_decomposition(g, gd)
-        report["decomposition"] = gd
+    try:
+        res = fold_pipeline(cover, L)
+    except WindowNotChordal:
+        report["window_chordal"] = False
+    else:
+        report["window_chordal"] = True
+        cls = classify_td(res.window.window, res.td)
+        report["window_td_into_cliques"] = cls.into_cliques
+        vr = verify_graph_decomposition(g, res.gd)
+        report["decomposition"] = res.gd
         report["gd_report"] = vr
         report["into_cliques"] = bool(vr["ok"] and vr["into_cliques"])
     report["consistent"] = report["locally_chordal"] == report["into_cliques"]

@@ -75,12 +75,10 @@ class LiftCrossesBoundary(CliquedecError):
     """A lift leaves the derived window; the caller must enlarge it."""
 
 
-class Unstable(CliquedecError):
-    """Window computation did not stabilise; the caller must enlarge it."""
-
-
 class WindowNotChordal(CliquedecError):
-    pass
+    def __init__(self, L, hole):
+        super().__init__(f"window at L={L} has a hole: {hole}")
+        self.hole = hole
 
 
 class ActionMismatch(CliquedecError):
@@ -91,7 +89,3 @@ class BallNotPreserved(CliquedecError):
     def __init__(self, center, message=""):
         super().__init__(message or f"ball not preserved at {center!r}")
         self.center = center
-
-
-class BudgetExceeded(CliquedecError):
-    pass

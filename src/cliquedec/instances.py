@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .chordal import maximal_cliques
 from .covers import VoltagePresentation, parse_word

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .chordal import MaximalClique, is_chordal, maximal_cliques
+from .chordal import maximal_cliques
 from .errors import (
     EmptyBottleneckSelection,
     NestednessViolation,
-    NotChordal,
     PreconditionViolated,
 )
 from .graph import Graph
@@ -66,9 +65,6 @@ def construct_N(
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
     if bottlenecks is None:
-        ok, cert = is_chordal(g)
-        if not ok:
-            raise NotChordal(cert)
         cliques = maximal_cliques(g)
         bottlenecks = [
             beta(g, cliques[i], cliques[j], check=False, include_nontight=include_nontight)

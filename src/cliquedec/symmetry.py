@@ -9,7 +9,7 @@ enumerating all elements unless the order is small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import TooLarge
 from .graph import Graph
@@ -165,74 +165,19 @@ def orbit_closure(aut: AutomorphismSet, objects: Iterable) -> List[List]:
     return orbits
 
 
-def _tree_automorphism_for(
-    g: Graph, td: TreeDecomposition, gamma: Dict[str, str]
-) -> Optional[Dict[str, str]]:
-    """A tree automorphism phi with gamma(bag(t)) = bag(phi(t)) for all t."""
+def _tree_automorphisms_for(
+    td: TreeDecomposition, gamma: Dict[str, str], limit: int
+) -> List[Dict[str, str]]:
+    """Up to `limit` tree automorphisms phi with gamma(bag(t)) = bag(phi(t))
+    for all t, in search order."""
     tree = td.tree
     nodes = list(tree.vertices)
     target = {t: frozenset(gamma[v] for v in td.bags[t]) for t in nodes}
+    found: List[Dict[str, str]] = []
 
-    def backtrack(mapping: Dict[str, str], used: set) -> Optional[Dict[str, str]]:
+    def backtrack(mapping: Dict[str, str], used: set) -> None:
         if len(mapping) == len(nodes):
-            return dict(mapping)
-        t = next(u for u in nodes if u not in mapping)
-        for s in nodes:
-            if s in used or td.bags[s] != target[t]:
-                continue
-            if any(
-                tree.has_edge(t, u) != tree.has_edge(s, img)
-                for u, img in mapping.items()
-            ):
-                continue
-            mapping[t] = s
-            used.add(s)
-            res = backtrack(mapping, used)
-            if res is not None:
-                return res
-            del mapping[t]
-            used.discard(s)
-        return None
-
-    return backtrack({}, set())
-
-
-def verify_canonical_td(g: Graph, td: TreeDecomposition, aut: AutomorphismSet) -> dict:
-    """Does every automorphism generator act on the decomposition tree?
-
-    For each generator a compatible tree automorphism is searched; the
-    decomposition is canonical iff all generators admit one (closure under
-    the subgroup follows).  For regular decompositions the witness is
-    unique, which is asserted by a second search.
-    """
-    report = {"canonical": True, "per_generator": []}
-    regular = classify_td(g, td).regular
-    for gamma in aut.generators:
-        phi = _tree_automorphism_for(g, td, gamma)
-        entry = {"generator": dict(gamma), "exists": phi is not None, "action": phi}
-        if phi is None:
-            report["canonical"] = False
-        elif regular:
-            entry["unique"] = _count_tree_automorphisms(g, td, gamma, limit=2) == 1
-            assert entry["unique"], "regular decomposition admits two actions"
-        report["per_generator"].append(entry)
-    return report
-
-
-def _count_tree_automorphisms(
-    g: Graph, td: TreeDecomposition, gamma: Dict[str, str], limit: int
-) -> int:
-    tree = td.tree
-    nodes = list(tree.vertices)
-    target = {t: frozenset(gamma[v] for v in td.bags[t]) for t in nodes}
-    count = 0
-
-    def backtrack(mapping, used):
-        nonlocal count
-        if count >= limit:
-            return
-        if len(mapping) == len(nodes):
-            count += 1
+            found.append(dict(mapping))
             return
         t = next(u for u in nodes if u not in mapping)
         for s in nodes:
@@ -246,8 +191,33 @@ def _count_tree_automorphisms(
             mapping[t] = s
             used.add(s)
             backtrack(mapping, used)
+            if len(found) >= limit:
+                return
             del mapping[t]
             used.discard(s)
 
     backtrack({}, set())
-    return count
+    return found
+
+
+def verify_canonical_td(g: Graph, td: TreeDecomposition, aut: AutomorphismSet) -> dict:
+    """Does every automorphism generator act on the decomposition tree?
+
+    For each generator a compatible tree automorphism is searched; the
+    decomposition is canonical iff all generators admit one (closure under
+    the subgroup follows).  For regular decompositions the witness is
+    unique, which is asserted by searching on for a second one.
+    """
+    report = {"canonical": True, "per_generator": []}
+    regular = classify_td(g, td).regular
+    for gamma in aut.generators:
+        actions = _tree_automorphisms_for(td, gamma, limit=2 if regular else 1)
+        phi = actions[0] if actions else None
+        entry = {"generator": dict(gamma), "exists": phi is not None, "action": phi}
+        if phi is None:
+            report["canonical"] = False
+        elif regular:
+            entry["unique"] = len(actions) == 1
+            assert entry["unique"], "regular decomposition admits two actions"
+        report["per_generator"].append(entry)
+    return report

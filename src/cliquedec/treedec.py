@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .chordal import maximal_cliques
 from .errors import (
     ImproperSeparation,
     NotAClique,
@@ -58,20 +59,24 @@ class TreeDecomposition:
         return TreeDecomposition(tree=Graph(ids, edges), bags=bags)
 
     def to_dot(self) -> str:
-        lines = ["graph treedec {"]
-        for t in self.tree.vertices:
-            label = "{" + ",".join(sorted(self.bags[t])) + "}"
-            lines.append(f'  "{t}" [label="{label}"];')
-        for u, v in self.tree.edges():
-            lines.append(f'  "{u}" -- "{v}";')
-        lines.append("}")
-        return "\n".join(lines)
+        return _to_dot("treedec", self.tree, self.bags)
+
+
+def _to_dot(name: str, g: Graph, bags: Dict[str, FrozenSet[str]]) -> str:
+    """DOT text of a graph whose nodes are labelled by their bags."""
+    lines = [f"graph {name} {{"]
+    for t in g.vertices:
+        label = "{" + ",".join(sorted(bags[t])) + "}"
+        lines.append(f'  "{t}" [label="{label}"];')
+    for u, v in g.edges():
+        lines.append(f'  "{u}" -- "{v}";')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
 class TDClassification:
     regular: bool
-    point_finite: bool
     into_cliques: bool
     into_maximal_cliques: bool
 
@@ -85,22 +90,35 @@ def _check_tree(t: Graph) -> None:
         raise NotATree("tree contains a cycle")
 
 
+def _uncovered(
+    g: Graph, bags: Sequence[FrozenSet[str]]
+) -> Tuple[List[str], List[Tuple[str, str]]]:
+    """The vertices and the edges of g that lie in no bag."""
+    covered = frozenset().union(*bags)
+    vertices = [v for v in g.vertices if v not in covered]
+    edges = [(u, v) for u, v in g.edges() if not any(u in b and v in b for b in bags)]
+    return vertices, edges
+
+
+def _bags_are_maximal_cliques(g: Graph, bags: Sequence[FrozenSet[str]]) -> bool:
+    """Are the bags pairwise distinct and exactly the maximal cliques of g?"""
+    cliques = {c.vertices for c in maximal_cliques(g, require_chordal=False)}
+    return len(bags) == len(set(bags)) and set(bags) == cliques
+
+
 def verify_td(g: Graph, td: TreeDecomposition) -> dict:
     """Check coverage (every vertex and edge in some bag) and connectivity
     of every vertex's node set; failures carry witnesses."""
     _check_tree(td.tree)
     if set(td.bags) != set(td.tree.vertices):
         raise NotATree("bags and tree nodes do not match")
-    report = {"ok": True, "uncovered_vertices": [], "uncovered_edges": [], "disconnected": []}
-    covered = set()
-    for b in td.bags.values():
-        covered |= b
-    for v in g.vertices:
-        if v not in covered:
-            report["uncovered_vertices"].append(v)
-    for u, v in g.edges():
-        if not any(u in b and v in b for b in td.bags.values()):
-            report["uncovered_edges"].append((u, v))
+    uncovered_vertices, uncovered_edges = _uncovered(g, list(td.bags.values()))
+    report = {
+        "ok": True,
+        "uncovered_vertices": uncovered_vertices,
+        "uncovered_edges": uncovered_edges,
+        "disconnected": [],
+    }
     for v in g.vertices:
         nodes = [t for t in td.tree.vertices if v in td.bags[t]]
         if nodes and not td.tree.induced(nodes).is_connected():
@@ -241,23 +259,15 @@ def build_td_from_nested(g: Graph, n: Iterable[Separation]) -> TreeDecomposition
 
 
 def classify_td(g: Graph, td: TreeDecomposition) -> TDClassification:
-    from .chordal import maximal_cliques
-
     regular = all(
         classify(g, induced_separation(g, td, e)).proper for e in td.tree.edges()
     )
-    point_finite = True  # every vertex lies in finitely many bags of a finite tree
-    into_cliques = all(g.is_clique(b) for b in td.bags.values())
-    into_max = False
-    if into_cliques:
-        bag_list = list(td.bags.values())
-        cliques = {c.vertices for c in maximal_cliques(g, require_chordal=False)}
-        into_max = len(bag_list) == len(set(bag_list)) and set(bag_list) == cliques
+    bags = list(td.bags.values())
+    into_cliques = all(g.is_clique(b) for b in bags)
     return TDClassification(
         regular=regular,
-        point_finite=point_finite,
         into_cliques=into_cliques,
-        into_maximal_cliques=into_max,
+        into_maximal_cliques=into_cliques and _bags_are_maximal_cliques(g, bags),
     )
 
 

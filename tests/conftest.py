@@ -11,10 +11,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cliquedec.cli import canonical_td_pipeline
-from cliquedec.covers import derive_window
+from cliquedec.covers import fold_pipeline
 from cliquedec.instances import cycle_z_presentation, random_chordal
-from cliquedec.nested import construct_N
-from cliquedec.treedec import build_td_from_nested
 
 SUITE1_SEED = 20240601
 SUITE1_COUNT = 50
@@ -57,7 +55,5 @@ def suite2():
 def c6z_artifacts():
     """Window, nested set and tree-decomposition for the C6 z-cover at L=6."""
     pres = cycle_z_presentation(6)
-    win = derive_window(pres, 6)
-    n = construct_N(win.window)
-    td = build_td_from_nested(win.window, n.union)
-    return pres, win, n, td
+    res = fold_pipeline(pres, 6)
+    return pres, res.window, res.nested, res.td

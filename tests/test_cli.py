@@ -119,7 +119,14 @@ def test_fold_rejects_nonchordal_window(tmp_path, capsys):
     vf = _write_voltage(tmp_path, identity_presentation(wheel()))
     assert main(["fold", "--voltage", vf, "-L", "4", "--json"]) == 1
     out = _json_out(capsys)
-    assert not out["window_chordal"]
+    assert not out["window_chordal"] and len(out["hole"]) == 4
+
+    gf = _write_graph(tmp_path, wheel())
+    for argv in (["verify-gd"], ["r-acyclic", "-r", "3"]):
+        assert main(argv + ["--in", gf, "--voltage", vf, "-L", "4", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: window at L=4 has a hole: ")
 
 
 def test_r_acyclic(tmp_path, capsys):

@@ -9,6 +9,7 @@ from cliquedec.covers import (
     VoltagePresentation,
     derive_window,
     fold,
+    fold_pipeline,
     lift_project_clique,
     parse_word,
     periodic_N,
@@ -135,6 +136,22 @@ def test_verify_cover_needs_buffer():
         verify_cover(cycle_z_presentation(6), 3, 4)
 
 
+def test_verify_cover_checks_cliques_on_large_windows(monkeypatch):
+    import cliquedec.covers as covers
+
+    real, sizes = covers.maximal_cliques, []
+
+    def counting_maximal_cliques(g, **kwargs):
+        sizes.append(len(g))
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(covers, "maximal_cliques", counting_maximal_cliques)
+    report = verify_cover(cycle_z_presentation(6), 3, 34)
+    assert len(report["window"].window) == 414
+    assert sizes == [414]
+    assert report["free_on_cliques"] and report["ok"]
+
+
 # -- lift / project -----------------------------------------------------
 
 
@@ -220,6 +237,29 @@ def test_fold_identity_two_triangles():
     assert len(gd.model) == 2 and gd.model.edge_count() == 1
     assert set(gd.bags.values()) == {frozenset("abc"), frozenset("bcd")}
     assert verify_graph_decomposition(g, gd)["ok"]
+
+
+def _fold_step_by_step(pres, L):
+    win = derive_window(pres, L)
+    td = build_td_from_nested(win.window, construct_N(win.window).union)
+    return td, fold(pres, win, td)
+
+
+@pytest.mark.parametrize(
+    "pres, L",
+    [(cycle_z_presentation(6), 4), (identity_presentation(two_triangles()), 6)],
+    ids=["c6z-L4", "two-triangles-identity"],
+)
+def test_fold_pipeline_matches_step_by_step(pres, L):
+    res = fold_pipeline(pres, L)
+    assert (res.td, res.gd) == _fold_step_by_step(pres, L)
+    assert res.window == derive_window(pres, L)
+
+
+def test_fold_pipeline_matches_step_by_step_c6z_L6(c6z_artifacts):
+    # the fixture is fold_pipeline's result at L=6
+    pres, win, _, td = c6z_artifacts
+    assert (td, fold(pres, win, td)) == _fold_step_by_step(pres, 6)
 
 
 def test_verify_gd_mutations(c6z_artifacts):

@@ -118,16 +118,15 @@ def test_action_respects_composition():
         tuple(sorted(e["generator"].items())): e["action"]
         for e in report["per_generator"]
     }
-    from cliquedec.symmetry import _tree_automorphism_for
+    from cliquedec.symmetry import _tree_automorphisms_for
 
     gens = [dict(e["generator"]) for e in report["per_generator"]]
     for g1 in gens[:3]:
         for g2 in gens[:3]:
             comp = {v: g1[g2[v]] for v in g.vertices}
-            phi = _tree_automorphism_for(g, td, comp)
-            phi1 = _tree_automorphism_for(g, td, g1)
-            phi2 = _tree_automorphism_for(g, td, g2)
-            assert phi is not None
+            (phi,) = _tree_automorphisms_for(td, comp, limit=1)
+            (phi1,) = _tree_automorphisms_for(td, g1, limit=1)
+            (phi2,) = _tree_automorphisms_for(td, g2, limit=1)
             assert {t: phi1[phi2[t]] for t in td.tree.vertices} == phi
 
 
