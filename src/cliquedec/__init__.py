@@ -2,6 +2,7 @@
 including periodic covers presented by voltage graphs."""
 
 from .chordal import (
+    clique_tree,
     dirac_check,
     is_chordal,
     is_r_chordal,
@@ -32,7 +33,6 @@ from .separations import (
     Separation,
     beta,
     classify,
-    enumerate_min_separators,
     min_clique_separator,
     relate,
     separation_from_separator,

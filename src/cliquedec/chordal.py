@@ -2,13 +2,16 @@
 
 Recognition runs maximum-cardinality search and verifies the perfect
 elimination property; on failure an induced cycle of length >= 4 is
-extracted as a witness.
+extracted as a witness.  On success the same ordering yields a clique tree
+(Blair & Peyton, *An introduction to chordal graphs and clique trees*,
+1993), which is cached on the graph: its nodes are the maximal cliques and
+its edge labels are the minimal separators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import NotChordal
 from .graph import Graph
@@ -24,6 +27,40 @@ class EliminationOrdering:
 @dataclass(frozen=True)
 class MaximalClique:
     vertices: FrozenSet[str]
+
+
+@dataclass(frozen=True)
+class CliqueTree:
+    """A clique tree of a chordal graph.
+
+    Node i is the maximal clique ``cliques[i]`` (canonical order); it hangs
+    from ``parent[i]`` (-1 at the root) at ``depth[i]``, and ``label[i]`` is
+    ``cliques[i] & cliques[parent[i]]`` (empty at the root).  The trees of
+    the components of a disconnected graph hang from the root by empty
+    labels.  ``index`` maps each clique to its node.
+    """
+
+    cliques: Tuple[FrozenSet[str], ...]
+    parent: Tuple[int, ...]
+    depth: Tuple[int, ...]
+    label: Tuple[FrozenSet[str], ...]
+    index: Dict[FrozenSet[str], int] = field(compare=False)
+
+    def path_labels(self, i: int, j: int) -> List[FrozenSet[str]]:
+        """Labels of the edges on the tree path between nodes i and j."""
+        parent, depth, label = self.parent, self.depth, self.label
+        out = []
+        while depth[i] > depth[j]:
+            out.append(label[i])
+            i = parent[i]
+        while depth[j] > depth[i]:
+            out.append(label[j])
+            j = parent[j]
+        while i != j:
+            out.append(label[i])
+            out.append(label[j])
+            i, j = parent[i], parent[j]
+        return out
 
 
 def mcs_order(g: Graph) -> List[str]:
@@ -117,25 +154,73 @@ def perfect_elimination_ordering(g: Graph) -> EliminationOrdering:
     return cert
 
 
+def clique_tree(g: Graph) -> CliqueTree:
+    """The clique tree of a chordal graph, built once and cached on g.
+
+    Raises NotChordal with a hole otherwise.
+    """
+    tree = g._clique_tree
+    if tree is None:
+        ok, cert = is_chordal(g)
+        if not ok:
+            raise NotChordal(cert)
+        tree = g._clique_tree = _build_clique_tree(g, cert.order)
+    return tree
+
+
+def _build_clique_tree(g: Graph, peo: Tuple[str, ...]) -> CliqueTree:
+    """Blair & Peyton's clique tree, read off a perfect elimination ordering.
+
+    Vertices are visited in reverse (maximum-cardinality search) order.  A
+    vertex whose earlier-visited neighbours fill the clique of the most
+    recently visited one joins that clique; otherwise it opens a new
+    clique, a child of that one, labelled by those neighbours.
+    """
+    pos = {v: i for i, v in enumerate(peo)}
+    members: List[set] = []
+    parent: List[int] = []
+    depth: List[int] = []
+    label: List[FrozenSet[str]] = []
+    home: Dict[str, int] = {}
+    for v in reversed(peo):
+        later = frozenset(u for u in g.neighbors(v) if pos[u] > pos[v])
+        if later:
+            # later <= members[p], so equal sizes mean equal sets
+            p = home[min(later, key=pos.__getitem__)]
+            if len(later) == len(members[p]):
+                members[p].add(v)
+                home[v] = p
+                continue
+        else:
+            p = 0 if members else -1  # a new component hangs from the root
+        home[v] = len(members)
+        members.append({v} | later)
+        parent.append(p)
+        depth.append(depth[p] + 1 if p >= 0 else 0)
+        label.append(later)
+    cliques = [frozenset(m) for m in members]
+    order = sorted(range(len(cliques)), key=lambda i: sorted(map(g.key, cliques[i])))
+    new = {old: i for i, old in enumerate(order)}
+    return CliqueTree(
+        cliques=tuple(cliques[i] for i in order),
+        parent=tuple(new.get(parent[i], -1) for i in order),
+        depth=tuple(depth[i] for i in order),
+        label=tuple(label[i] for i in order),
+        index={cliques[i]: new[i] for i in order},
+    )
+
+
 def maximal_cliques(g: Graph, require_chordal: bool = True) -> List[MaximalClique]:
     """All maximal cliques, duplicate-free, in canonical order.
 
-    For chordal graphs this uses the perfect elimination ordering; with
+    For chordal graphs these are the nodes of the clique tree; with
     require_chordal=False a Bron-Kerbosch fallback handles general graphs.
     """
-    ok, cert = is_chordal(g)
-    if ok:
-        order = list(cert.order)
-        pos = {v: i for i, v in enumerate(order)}
-        candidates = []
-        for v in order:
-            c = frozenset({v} | {u for u in g.neighbors(v) if pos[u] > pos[v]})
-            candidates.append(c)
-        cliques = [c for c in candidates if not any(c < d for d in candidates)]
-        uniq = sorted(set(cliques), key=lambda c: tuple(g.key(v) for v in g.sorted(c)))
-        return [MaximalClique(c) for c in uniq]
-    if require_chordal:
-        raise NotChordal(cert)
+    try:
+        return [MaximalClique(c) for c in clique_tree(g).cliques]
+    except NotChordal:
+        if require_chordal:
+            raise
     found = []
     _bron_kerbosch(g, set(), set(g.vertices), set(), found)
     uniq = sorted(set(found), key=lambda c: tuple(g.key(v) for v in g.sorted(c)))

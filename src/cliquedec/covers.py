@@ -14,12 +14,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .chordal import is_chordal, maximal_cliques
+from .chordal import clique_tree, maximal_cliques
 from .errors import (
     ActionMismatch,
     BallNotPreserved,
     LiftCrossesBoundary,
     NotAClique,
+    NotChordal,
     PreconditionViolated,
     WindowNotChordal,
 )
@@ -431,9 +432,10 @@ def _separation_signature(win: CoverWindow, s: Separation):
 
 def _window_nested_set(pres: VoltagePresentation, L: int):
     win = derive_window(pres, L)
-    ok, cert = is_chordal(win.window)
-    if not ok:
-        raise WindowNotChordal(L, cert)
+    try:
+        clique_tree(win.window)  # construct_N reuses the cached tree
+    except NotChordal as exc:
+        raise WindowNotChordal(L, exc.hole) from None
     n = construct_N(win.window)
     return win, n
 

@@ -39,6 +39,10 @@ class CliquesEqual(CliquedecError):
     pass
 
 
+class MengerViolation(CliquedecError):
+    """Flow value, cut size and path count disagree; indicates a bug, never expected."""
+
+
 class NotNested(CliquedecError):
     pass
 

@@ -25,6 +25,7 @@ from .separations import (
     Separation,
     beta,
     classify,
+    min_clique_separator,
     relate,
 )
 
@@ -114,17 +115,6 @@ def construct_N(
     return result
 
 
-def efficiently_distinguishes(g: Graph, s: Separation, x: FrozenSet[str], y: FrozenSet[str]) -> bool:
-    """Does s put x and y on opposite sides at the minimum possible order?"""
-    from .separations import min_clique_separator
-
-    fits = (x <= s.sideA and y <= s.sideB) or (x <= s.sideB and y <= s.sideA)
-    if not fits:
-        return False
-    k, _, _ = min_clique_separator(g, x, y)
-    return s.order == k
-
-
 def verify_N(g: Graph, n: NestedSetLevels, aut: Sequence[Dict[str, str]]) -> dict:
     """Check the contract of the nested set; failures are reported, not raised.
 
@@ -153,11 +143,17 @@ def verify_N(g: Graph, n: NestedSetLevels, aut: Sequence[Dict[str, str]]) -> dic
             if s.apply(phi) not in sep_set:
                 report["failures"].append(("invariance", (phi, s)))
 
+    # one max flow per pair, independent of the clique tree that built n
     cliques = maximal_cliques(g, require_chordal=False)
     for i in range(len(cliques)):
         for j in range(i + 1, len(cliques)):
             x, y = cliques[i].vertices, cliques[j].vertices
-            if not any(efficiently_distinguishes(g, s, x, y) for s in seps):
+            k = min_clique_separator(g, x, y)[0]
+            if not any(
+                s.order == k
+                and ((x <= s.sideA and y <= s.sideB) or (x <= s.sideB and y <= s.sideA))
+                for s in seps
+            ):
                 report["failures"].append(("distinguishes", (x, y)))
 
     counts = {v: 0 for v in g.vertices}

@@ -1,10 +1,11 @@
 """Separations of finite graphs and the clique-pair bottlenecks built on them.
 
 A separation is an unordered pair {A, B} of vertex sets covering V with no
-edge between the strict sides.  Minimum separators between two cliques are
-computed by unit-vertex-capacity max flow on the vertex-split digraph, and
-all minimum separators are enumerated from closed sets of the residual
-graph.
+edge between the strict sides.  The minimum separators between two maximal
+cliques of a chordal graph are read off its clique tree: they are the
+labels of least size on the tree path between the two cliques.  Max flow
+on the vertex-split digraph remains only for Menger duality on general
+graphs (`min_clique_separator`).
 """
 
 from __future__ import annotations
@@ -13,17 +14,24 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .chordal import MaximalClique, is_chordal
+from .chordal import MaximalClique, clique_tree
 from .errors import (
     CliquesEqual,
     EmptySide,
+    ImproperSeparation,
+    MengerViolation,
+    NotAClique,
     NotASeparation,
-    NotChordal,
+    TooLarge,
 )
 from .graph import Graph
 
 NESTED = "nested"
 CROSSING = "crossing"
+
+# beta assigns each free component of G - S to a side in every possible
+# way, so it makes 2^f separations for f free components.
+EXPANSION_BUDGET = 20
 
 
 @dataclass(frozen=True, order=True)
@@ -260,164 +268,35 @@ def min_clique_separator(g: Graph, x: Sequence[str], y: Sequence[str]):
     flow = _VertexFlow(g, xf, yf)
     sep = flow.min_separator()
     paths = flow.disjoint_paths()
-    assert len(paths) == flow.value == len(sep)
+    if not len(paths) == flow.value == len(sep):
+        raise MengerViolation(
+            f"flow {flow.value}, cut {len(sep)} and {len(paths)} disjoint paths disagree"
+        )
     return flow.value, sep, paths
 
 
-def enumerate_min_separators(g: Graph, x: Sequence[str], y: Sequence[str]) -> List[FrozenSet[str]]:
-    """All X-Y separators of minimum size.
+def clique_min_separators(
+    g: Graph, x: FrozenSet[str], y: FrozenSet[str]
+) -> List[FrozenSet[str]]:
+    """All minimum X-Y separators of two distinct maximal cliques of a chordal graph.
 
-    Minimum vertex cuts correspond to the residual-closed node sets of a
-    max flow; they are enumerated through the condensation DAG.
+    They are the distinct labels of least size on the clique-tree path
+    between X and Y.  Every label on that path contains X & Y and separates
+    X from Y (running intersection).  A minimum separator S is a minimal
+    separator whose full components hold X - S and Y - S, so some path
+    label lies inside S, and by minimality equals it.
     """
-    xf, yf = frozenset(x), frozenset(y)
-    flow = _VertexFlow(g, xf, yf)
-    k = flow.value
-    nodes = list(flow.cap.keys())
-    succ = {a: [b for b, c in flow.cap[a].items() if c > 0] for a in nodes}
-    comp_of, comps = _scc(nodes, succ)
-    m = len(comps)
-    csucc = [set() for _ in range(m)]
-    for a in nodes:
-        for b in succ[a]:
-            if comp_of[a] != comp_of[b]:
-                csucc[comp_of[a]].add(comp_of[b])
-    cs, ct = comp_of["s"], comp_of["t"]
-
-    # mandatory membership: everything reachable from s; forbidden:
-    # t and its ancestors (their inclusion would drag t in)
-    reach_s = _closure({cs}, csucc)
-    cpred = [set() for _ in range(m)]
-    for i in range(m):
-        for j in csucc[i]:
-            cpred[j].add(i)
-    anc_t = _closure({ct}, cpred)
-    assert not (reach_s & anc_t)
-    # components whose successor-closure would drag t in can never be chosen
-    blocked = _closure(anc_t, cpred)
-    free = [i for i in range(m) if i not in reach_s and i not in blocked]
-    free_set = set(free)
-    order = _topo(free, {i: [j for j in csucc[i] if j in free_set] for i in free})
-    order.reverse()  # sinks first, so successors are decided before i
-
-    cuts = set()
-
-    def emit(chosen: set):
-        inside = reach_s | chosen
-        sep = frozenset(
-            v
-            for v in g.vertices
-            if comp_of[("in", v)] in inside and comp_of[("out", v)] not in inside
-        )
-        cuts.add(sep)
-
-    # enumerate successor-closed subsets; every DFS leaf is a valid set
-    def rec(idx: int, chosen: set):
-        if idx == len(order):
-            emit(chosen)
-            return
-        c = order[idx]
-        rec(idx + 1, chosen)
-        if all(j in chosen or j in reach_s for j in csucc[c]):
-            chosen.add(c)
-            rec(idx + 1, chosen)
-            chosen.discard(c)
-
-    rec(0, set())
-    out = [s for s in cuts if len(s) == k]
-    assert out, "max-flow min cut lost during enumeration"
-    return sorted(out, key=lambda s: tuple(g.key(v) for v in g.sorted(s)))
-
-
-def _topo(nodes, succ):
-    """Topological order of a DAG (predecessors before successors)."""
-    seen = set()
-    out = []
-
-    def visit(n):
-        stack = [(n, iter(succ[n]))]
-        seen.add(n)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                out.append(node)
-                stack.pop()
-
-    for n in nodes:
-        if n not in seen:
-            visit(n)
-    out.reverse()
-    return out
-
-
-def _closure(seed, succ):
-    seen = set(seed)
-    queue = list(seed)
-    while queue:
-        a = queue.pop()
-        for b in succ[a]:
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return seen
-
-
-def _scc(nodes, succ):
-    """Iterative Tarjan; returns (node -> comp index, list of comps)."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comp_of = {}
-    comps = []
-    counter = [0]
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                elif nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    comp_of[w] = len(comps)
-                    if w == node:
-                        break
-                comps.append(comp)
-    return comp_of, comps
+    tree = clique_tree(g)
+    try:
+        i, j = tree.index[x], tree.index[y]
+    except KeyError:
+        raise NotAClique("both sets must be maximal cliques of the graph") from None
+    if i == j:
+        raise CliquesEqual("the two maximal cliques must be distinct")
+    labels = tree.path_labels(i, j)
+    k = min(len(s) for s in labels)
+    least = {s for s in labels if len(s) == k}
+    return sorted(least, key=lambda s: sorted(map(g.key, s)))
 
 
 # -- bottlenecks --------------------------------------------------------
@@ -433,18 +312,15 @@ def beta(
     """The bottleneck of two distinct maximal cliques of a chordal graph.
 
     All tight separations {A, B} of minimum order with X <= A and Y <= B;
-    the order is strictly below min(|X|, |Y|).
+    the order is strictly below min(|X|, |Y|).  A graph that is not chordal
+    raises NotChordal.  Chordality is tested once per graph, when its clique
+    tree is built, so ``check`` no longer changes the work done.
     """
     xs, ys = x.vertices, y.vertices
-    if xs == ys:
-        raise CliquesEqual("beta needs two distinct maximal cliques")
-    if check:
-        ok, cert = is_chordal(g)
-        if not ok:
-            raise NotChordal(cert)
-    seps = enumerate_min_separators(g, xs, ys)
-    k = len(seps[0]) if seps else 0
-    assert k < min(len(xs), len(ys)), "efficient separator not below clique sizes"
+    seps = clique_min_separators(g, xs, ys)
+    k = len(seps[0])
+    if k >= min(len(xs), len(ys)):
+        raise ImproperSeparation(f"bottleneck order {k} is not below both clique sizes")
     out = []
     for sep in seps:
         comps = g.components_after_deletion(sep)
@@ -453,15 +329,19 @@ def beta(
         for comp, _full in comps:
             in_x = bool(comp & xs)
             in_y = bool(comp & ys)
-            assert not (in_x and in_y), "separator fails to separate the cliques"
+            if in_x and in_y:
+                raise NotASeparation(f"{g.sorted(sep)} fails to separate the cliques")
             if in_x:
                 forced[comp] = "A"
             elif in_y:
                 forced[comp] = "B"
             else:
                 free.append(comp)
-        if len(free) > 20:  # pragma: no cover - desk-scale guard
-            raise MemoryError("too many free components in bottleneck expansion")
+        if len(free) > EXPANSION_BUDGET:
+            raise TooLarge(
+                f"bottleneck expansion budget is {EXPANSION_BUDGET} free components, "
+                f"separator {g.sorted(sep)} leaves {len(free)}"
+            )
         for mask in range(1 << len(free)):
             assignment = dict(forced)
             for i, comp in enumerate(free):

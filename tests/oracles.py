@@ -1,7 +1,9 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
-Nothing in here may import algorithmic internals beyond the Graph type;
-values produced by these functions are compared against the package's
+Nothing in here may import algorithmic internals beyond the Graph type,
+with one exception: `flow_min_separators` builds on the package's
+`_VertexFlow` max flow, which criterion 3 checks against brute force.
+Values produced by these functions are compared against the package's
 own algorithms.
 """
 
@@ -13,6 +15,7 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 import networkx as nx
 
 from cliquedec.graph import Graph
+from cliquedec.separations import _VertexFlow
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -63,6 +66,162 @@ def brute_min_separators(
         if found:
             return k, found
     raise AssertionError("the whole vertex set always separates")
+
+
+def flow_min_separators(g: Graph, x: Sequence[str], y: Sequence[str]) -> List[FrozenSet[str]]:
+    """All X-Y separators of minimum size.
+
+    Minimum vertex cuts correspond to the residual-closed node sets of a
+    max flow; they are enumerated through the condensation DAG.
+    """
+    xf, yf = frozenset(x), frozenset(y)
+    flow = _VertexFlow(g, xf, yf)
+    k = flow.value
+    nodes = list(flow.cap.keys())
+    succ = {a: [b for b, c in flow.cap[a].items() if c > 0] for a in nodes}
+    comp_of, comps = _scc(nodes, succ)
+    m = len(comps)
+    csucc = [set() for _ in range(m)]
+    for a in nodes:
+        for b in succ[a]:
+            if comp_of[a] != comp_of[b]:
+                csucc[comp_of[a]].add(comp_of[b])
+    cs, ct = comp_of["s"], comp_of["t"]
+
+    # mandatory membership: everything reachable from s; forbidden:
+    # t and its ancestors (their inclusion would drag t in)
+    reach_s = _closure({cs}, csucc)
+    cpred = [set() for _ in range(m)]
+    for i in range(m):
+        for j in csucc[i]:
+            cpred[j].add(i)
+    anc_t = _closure({ct}, cpred)
+    assert not (reach_s & anc_t)
+    # components whose successor-closure would drag t in can never be chosen
+    blocked = _closure(anc_t, cpred)
+    free = [i for i in range(m) if i not in reach_s and i not in blocked]
+    free_set = set(free)
+    order = _topo(free, {i: [j for j in csucc[i] if j in free_set] for i in free})
+    order.reverse()  # sinks first, so successors are decided before i
+
+    cuts = set()
+
+    def emit(chosen: set):
+        inside = reach_s | chosen
+        sep = frozenset(
+            v
+            for v in g.vertices
+            if comp_of[("in", v)] in inside and comp_of[("out", v)] not in inside
+        )
+        cuts.add(sep)
+
+    # enumerate successor-closed subsets; every DFS leaf is a valid set
+    def rec(idx: int, chosen: set):
+        if idx == len(order):
+            emit(chosen)
+            return
+        c = order[idx]
+        rec(idx + 1, chosen)
+        if all(j in chosen or j in reach_s for j in csucc[c]):
+            chosen.add(c)
+            rec(idx + 1, chosen)
+            chosen.discard(c)
+
+    rec(0, set())
+    out = [s for s in cuts if len(s) == k]
+    assert out, "max-flow min cut lost during enumeration"
+    return sorted(out, key=lambda s: tuple(g.key(v) for v in g.sorted(s)))
+
+
+def _topo(nodes, succ):
+    """Topological order of a DAG (predecessors before successors)."""
+    seen = set()
+    out = []
+
+    def visit(n):
+        stack = [(n, iter(succ[n]))]
+        seen.add(n)
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(succ[nxt])))
+                    advanced = True
+                    break
+            if not advanced:
+                out.append(node)
+                stack.pop()
+
+    for n in nodes:
+        if n not in seen:
+            visit(n)
+    out.reverse()
+    return out
+
+
+def _closure(seed, succ):
+    seen = set(seed)
+    queue = list(seed)
+    while queue:
+        a = queue.pop()
+        for b in succ[a]:
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return seen
+
+
+def _scc(nodes, succ):
+    """Iterative Tarjan; returns (node -> comp index, list of comps)."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    comp_of = {}
+    comps = []
+    counter = [0]
+
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = counter[0]
+                    counter[0] += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succ[nxt])))
+                    advanced = True
+                    break
+                elif nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    comp_of[w] = len(comps)
+                    if w == node:
+                        break
+                comps.append(comp)
+    return comp_of, comps
 
 
 def brute_minimal_separators(g: Graph) -> Set[FrozenSet[str]]:

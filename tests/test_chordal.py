@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquedec.chordal import (
+    clique_tree,
     dirac_check,
     is_chordal,
     is_r_chordal,
@@ -111,6 +112,46 @@ def test_dirac_matches_chordality_and_nx(seed, n, p):
 def test_maximal_cliques_match_nx(seed, n, p):
     g = random_graph(n, p, random.Random(seed))
     assert {c.vertices for c in maximal_cliques(g, require_chordal=False)} == nx_maximal_cliques(g)
+
+
+def _assert_clique_tree(g, tree):
+    """Nodes are the maximal cliques; labels are the edge intersections;
+    the cliques holding any vertex form a subtree (running intersection)."""
+    assert set(tree.cliques) == nx_maximal_cliques(g)
+    assert [c.vertices for c in maximal_cliques(g)] == list(tree.cliques)
+    assert sum(p < 0 for p in tree.parent) == (1 if tree.cliques else 0)
+    for i, p in enumerate(tree.parent):
+        assert tree.index[tree.cliques[i]] == i
+        if p >= 0:
+            assert tree.depth[i] == tree.depth[p] + 1
+            assert tree.label[i] == tree.cliques[i] & tree.cliques[p]
+    for v in g.vertices:
+        tops = [
+            i
+            for i, c in enumerate(tree.cliques)
+            if v in c and (tree.parent[i] < 0 or v not in tree.cliques[tree.parent[i]])
+        ]
+        assert len(tops) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 40))
+def test_clique_tree_random_chordal(seed, n):
+    g = random_chordal(n, seed)
+    _assert_clique_tree(g, clique_tree(g))
+    assert clique_tree(g) is clique_tree(g)
+
+
+def test_clique_tree_examples():
+    for g in (Graph([]), Graph(["a"]), star(5), two_triangles(), complete(4), path(6)):
+        _assert_clique_tree(g, clique_tree(g))
+    g = Graph("abcdefg", [("a", "b"), ("b", "c"), ("d", "e")])  # three components
+    tree = clique_tree(g)
+    _assert_clique_tree(g, tree)
+    ab, de = tree.index[frozenset("ab")], tree.index[frozenset("de")]
+    assert tree.path_labels(ab, de) and not any(tree.path_labels(ab, de))
+    with pytest.raises(NotChordal):
+        clique_tree(cycle(4))
 
 
 def test_full_component_complete_vertex_lemma():

@@ -73,6 +73,16 @@ def test_canonical_td_and_maximal_td(tmp_path, capsys):
     assert len(out["decomposition"]["nodes"]) == 3
 
 
+def test_bottleneck_expansion_budget_is_an_input_error(tmp_path, capsys):
+    # two leaves of star(23) leave 21 free components, one over the budget
+    f = _write_graph(tmp_path, star(23))
+    assert main(["canonical-td", "--in", f, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bottleneck expansion budget is 20" in captured.err
+    assert "leaves 21" in captured.err
+
+
 def test_local_chordal(tmp_path, capsys):
     f = _write_graph(tmp_path, cycle(6))
     assert main(["local-chordal", "--in", f, "-r", "3", "--json"]) == 0

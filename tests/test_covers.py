@@ -310,7 +310,7 @@ def test_r_acyclic_tree_model():
 # -- combined pipeline --------------------------------------------------
 
 
-def test_theorem3_c6(c6z_artifacts):
+def test_theorem3_c6():
     report = theorem3_pipeline(cycle(6), 3, cycle_z_presentation(6), 6)
     assert report["locally_chordal"] and report["into_cliques"] and report["consistent"]
 

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level function or class is used somewhere in the package.
 
-`__init__.py` is left out: its imports are the package's exports.
+`__init__.py` is left out of the import check: its imports are the
+package's exports.
 """
 
 import ast
@@ -33,3 +35,57 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_definitions(source: str) -> set:
+    """Names of the module-level functions and classes that start with '_'."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def referenced_names(source: str, skip: str = "") -> set:
+    """Names read or imported in source, not counting the body of the
+    module-level definition called skip (so recursion is no use)."""
+    out = set()
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out |= {a.name for a in node.names}
+    return out
+
+
+def unreferenced_private(sources: dict) -> list:
+    """(module, name) for each private definition nothing else refers to."""
+    out = []
+    for module, source in sources.items():
+        for name in sorted(private_definitions(source)):
+            if not any(
+                name in referenced_names(other, skip=name if other_module == module else "")
+                for other_module, other in sources.items()
+            ):
+                out.append((module, name))
+    return out
+
+
+def test_unreferenced_private_definitions_are_found():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _orphan():\n    return _orphan()\n",
+        "b.py": "from .a import _used\n\nclass _Local:\n    pass\n\nx = _Local()\n",
+    }
+    assert unreferenced_private(sources) == [("a.py", "_orphan")]
+
+
+def test_every_private_definition_is_used():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []

@@ -1,22 +1,31 @@
 """Separations: assembly, nestedness, classification, Menger flows, beta."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquedec.chordal import MaximalClique, maximal_cliques
-from cliquedec.errors import CliquesEqual, EmptySide, NotASeparation, NotChordal
+from cliquedec.chordal import MaximalClique, is_chordal, maximal_cliques
+from cliquedec.covers import derive_window
+from cliquedec.errors import CliquesEqual, EmptySide, NotAClique, NotASeparation, NotChordal
 from cliquedec.graph import Graph
-from cliquedec.instances import cycle, path, random_chordal, star, two_triangles
+from cliquedec.instances import (
+    cycle,
+    cycle_z_presentation,
+    path,
+    random_chordal,
+    star,
+    two_triangles,
+)
 from cliquedec.separations import (
     CROSSING,
     NESTED,
     Separation,
     beta,
     classify,
-    enumerate_min_separators,
+    clique_min_separators,
     min_clique_separator,
     relate,
     separation_from_separator,
@@ -24,7 +33,7 @@ from cliquedec.separations import (
 )
 from cliquedec.symmetry import automorphism_generators
 
-from oracles import brute_min_separators, random_clique, random_graph
+from oracles import brute_min_separators, flow_min_separators, random_clique, random_graph
 
 
 def _comp_map(g, separator, assignment_by_member):
@@ -121,19 +130,19 @@ def test_min_clique_separator_examples():
 
 def test_enumerate_min_separators_examples():
     g = path(5)
-    seps = enumerate_min_separators(g, ["v0"], ["v4"])
+    seps = flow_min_separators(g, ["v0"], ["v4"])
     # full Menger convention: endpoints are deletable, so all five
     # singletons are minimum separators; the three interior ones are the
     # ones producing proper separations
     assert set(seps) == {frozenset({f"v{i}"}) for i in range(5)}
     assert {frozenset({"v1"}), frozenset({"v2"}), frozenset({"v3"})} <= set(seps)
     g = two_triangles()
-    assert enumerate_min_separators(g, ["a", "b", "c"], ["b", "c", "d"]) == [frozenset("bc")]
+    assert flow_min_separators(g, ["a", "b", "c"], ["b", "c", "d"]) == [frozenset("bc")]
 
 
 def test_min_separators_contain_shared_vertices():
     g = star(3)
-    for s in enumerate_min_separators(g, ["c", "1"], ["c", "2"]):
+    for s in flow_min_separators(g, ["c", "1"], ["c", "2"]):
         assert "c" in s
 
 
@@ -147,7 +156,7 @@ def test_min_cut_matches_brute_force(seed, n, p):
     k, sep, paths = min_clique_separator(g, x, y)
     bk, bseps = brute_min_separators(g, x, y)
     assert k == bk == len(paths) == len(sep)
-    assert set(enumerate_min_separators(g, x, y)) == set(bseps)
+    assert set(flow_min_separators(g, x, y)) == set(bseps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,7 +165,7 @@ def test_relate_symmetric_and_automorphism_invariant(seed):
     rng = random.Random(seed)
     g = random_chordal(rng.randint(4, 10), seed)
     seps = []
-    for s in enumerate_min_separators(g, [g.vertices[0]], [g.vertices[-1]]):
+    for s in flow_min_separators(g, [g.vertices[0]], [g.vertices[-1]]):
         comps = g.components_after_deletion(s)
         assignment = {c: ("A" if i % 2 == 0 else "B") for i, (c, _) in enumerate(comps)}
         if len(comps) >= 2:
@@ -208,6 +217,8 @@ def test_beta_errors():
             MaximalClique(frozenset({"v0", "v1"})),
             MaximalClique(frozenset({"v2", "v3"})),
         )
+    with pytest.raises(NotAClique):
+        beta(g, x, MaximalClique(frozenset("bc")))
 
 
 def test_beta_order_bound_and_tightness():
@@ -225,3 +236,50 @@ def test_beta_order_bound_and_tightness():
                     assert s.separator in set(
                         __import__("cliquedec.chordal", fromlist=["minimal_separators"]).minimal_separators(g)
                     )
+
+
+# -- clique-tree minimum separators against the max-flow and brute-force oracles
+
+
+def _tree_matches_flow(g):
+    cliques = [c.vertices for c in maximal_cliques(g)]
+    for x, y in itertools.combinations(cliques, 2):
+        assert clique_min_separators(g, x, y) == flow_min_separators(g, x, y), (x, y)
+
+
+def test_tree_separators_match_flow_suite1(suite1):
+    for g, _res in suite1:
+        _tree_matches_flow(g)
+
+
+def test_tree_separators_match_flow_c6z_window():
+    _tree_matches_flow(derive_window(cycle_z_presentation(6), 4).window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 40))
+def test_tree_separators_match_flow_random_chordal(seed, n):
+    g = random_chordal(n, seed)
+    _tree_matches_flow(g)
+    cliques = maximal_cliques(g)
+    if len(cliques) > 1:
+        # every minimum separator carries a tight separation of beta
+        x, y = random.Random(seed).sample(cliques, 2)
+        b = beta(g, x, y)
+        assert {s.separator for s in b.separations} == set(
+            clique_min_separators(g, x.vertices, y.vertices)
+        )
+
+
+def test_tree_separators_match_brute_force(suite2):
+    """Chordal graphs of at most 12 vertices, connected or not."""
+    graphs = [g for g in suite2 if len(g) <= 12 and is_chordal(g)[0]]
+    graphs += [random_chordal(n, seed) for seed, n in enumerate(range(4, 13))]
+    assert any(not g.is_connected() for g in graphs)
+    for g in graphs:
+        cliques = [c.vertices for c in maximal_cliques(g)]
+        for x, y in itertools.combinations(cliques, 2):
+            k, brute = brute_min_separators(g, x, y)
+            seps = clique_min_separators(g, x, y)
+            assert {len(s) for s in seps} == {k}
+            assert set(seps) == set(brute)
