@@ -365,7 +365,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (CliquedecError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CliquedecError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -146,6 +146,8 @@ class VoltagePresentation:
         unknown = set(data) - {"base", "tree_edges", "voltages"}
         if unknown:
             raise ValueError(f"unknown fields in voltage JSON: {sorted(unknown)}")
+        if "base" not in data:
+            raise ValueError("voltage JSON lacks the field 'base'")
         base = Graph.from_json_dict(data["base"])
         tree_edges = frozenset(frozenset(e) for e in data.get("tree_edges", []))
         voltages = {}
@@ -153,6 +155,9 @@ class VoltagePresentation:
             extra = set(item) - {"edge", "word"}
             if extra:
                 raise ValueError(f"unknown fields in voltage entry: {sorted(extra)}")
+            missing = {"edge", "word"} - set(item)
+            if missing:
+                raise ValueError(f"voltage entry lacks the fields {sorted(missing)}")
             u, v = item["edge"]
             voltages[(u, v)] = parse_word(item["word"])
         return VoltagePresentation(base=base, tree_edges=tree_edges, voltages=voltages)
@@ -641,6 +646,9 @@ def r_acyclic_check(
     a seeded random sample; the witness is (X, cycle) on failure.
     """
     vs = list(g.vertices)
+    missing = [v for v in vs if v not in gd.coparts]
+    if missing:
+        raise PreconditionViolated(f"no co-part for the vertices {missing}")
     total = sum(math.comb(len(vs), k) for k in range(1, min(r, len(vs)) + 1))
     subsets: Iterable[Tuple[str, ...]]
     exhaustive = total <= budget

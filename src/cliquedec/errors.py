@@ -55,6 +55,10 @@ class NestednessViolation(CliquedecError):
     """Post-hoc nestedness assertion failed; indicates a bug, never expected."""
 
 
+class InvariantViolation(CliquedecError):
+    """A checked invariant of a construction failed; indicates a bug, never expected."""
+
+
 class EmptyBottleneckSelection(CliquedecError):
     """No selectable separation in a bottleneck; indicates a bug, never expected."""
 

@@ -20,7 +20,10 @@ INFINITY = float("inf")
 class Graph:
     """Finite simple graph: no loops, no parallel edges."""
 
-    __slots__ = ("_vertices", "_index", "_adj", "_component_cache", "_clique_tree")
+    __slots__ = (
+        "_vertices", "_index", "_adj",
+        "_component_cache", "_clique_tree", "_bottleneck_cache",
+    )
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Tuple[str, str]] = ()):
         vs: List[str] = []
@@ -47,6 +50,7 @@ class Graph:
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
         self._component_cache: Dict[FrozenSet[str], list] = {}
         self._clique_tree = None  # set by chordal.clique_tree
+        self._bottleneck_cache: Dict[FrozenSet[str], tuple] = {}  # see separations.beta
 
     # -- basics ---------------------------------------------------------
 

@@ -41,6 +41,7 @@ class Separation:
     sideA: FrozenSet[str] = field(compare=False)
     sideB: FrozenSet[str] = field(compare=False)
     _key: Tuple[Tuple[str, ...], Tuple[str, ...]] = field(init=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a, b = frozenset(self.sideA), frozenset(self.sideB)
@@ -50,6 +51,10 @@ class Separation:
         object.__setattr__(self, "sideA", a)
         object.__setattr__(self, "sideB", b)
         object.__setattr__(self, "_key", (ka, kb))
+        object.__setattr__(self, "_hash", hash((ka, kb)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def separator(self) -> FrozenSet[str]:
@@ -314,43 +319,51 @@ def beta(
     All tight separations {A, B} of minimum order with X <= A and Y <= B;
     the order is strictly below min(|X|, |Y|).  A graph that is not chordal
     raises NotChordal.  Chordality is tested once per graph, when its clique
-    tree is built, so ``check`` no longer changes the work done.
+    tree is built, so ``check`` no longer changes the work done.  Each
+    distinct separation is built and classified once per graph, and clique
+    pairs with the same minimum separator share its Separation objects.
     """
     xs, ys = x.vertices, y.vertices
     seps = clique_min_separators(g, xs, ys)
     k = len(seps[0])
     if k >= min(len(xs), len(ys)):
         raise ImproperSeparation(f"bottleneck order {k} is not below both clique sizes")
-    out = []
+    # Cached on the graph per separator: its components, its expansions
+    # keyed by the two forced components in either order (separations are
+    # unordered), and each distinct separation with its classification.
+    parts = []
     for sep in seps:
-        comps = g.components_after_deletion(sep)
-        forced = {}
-        free = []
-        for comp, _full in comps:
-            in_x = bool(comp & xs)
-            in_y = bool(comp & ys)
-            if in_x and in_y:
-                raise NotASeparation(f"{g.sorted(sep)} fails to separate the cliques")
-            if in_x:
-                forced[comp] = "A"
-            elif in_y:
-                forced[comp] = "B"
-            else:
-                free.append(comp)
-        if len(free) > EXPANSION_BUDGET:
-            raise TooLarge(
-                f"bottleneck expansion budget is {EXPANSION_BUDGET} free components, "
-                f"separator {g.sorted(sep)} leaves {len(free)}"
-            )
-        for mask in range(1 << len(free)):
-            assignment = dict(forced)
-            for i, comp in enumerate(free):
-                assignment[comp] = "A" if (mask >> i) & 1 else "B"
-            # no edge can join two components of G - sep, so the assembled
-            # pair is a separation by construction; skip re-validation here
-            s = separation_from_separator(g, sep, assignment, validate=False)
-            cl = classify(g, s)
-            if cl.tight or (include_nontight and cl.proper):
-                out.append(s)
-    uniq = sorted(set(out))
-    return Bottleneck(pair=(x, y), order=k, separations=tuple(uniq))
+        entry = g._bottleneck_cache.get(sep)
+        if entry is None:
+            comps = [comp for comp, _ in g.components_after_deletion(sep)]
+            where = {v: n for n, comp in enumerate(comps) for v in comp}
+            entry = g._bottleneck_cache[sep] = (comps, where, {}, {})
+        comps, where, expansions, known = entry
+        i, j = sorted((where[next(iter(xs - sep))], where[next(iter(ys - sep))]))
+        if i == j:
+            raise NotASeparation(f"{g.sorted(sep)} fails to separate the cliques")
+        key = (i, j, include_nontight)
+        if key not in expansions:
+            free = [comp for n, comp in enumerate(comps) if n != i and n != j]
+            if len(free) > EXPANSION_BUDGET:
+                raise TooLarge(
+                    f"bottleneck expansion budget is {EXPANSION_BUDGET} free "
+                    f"components, separator {g.sorted(sep)} leaves {len(free)}"
+                )
+            found = []
+            for mask in range(1 << len(free)):
+                assignment = {comps[i]: "A", comps[j]: "B"}
+                for n, comp in enumerate(free):
+                    assignment[comp] = "A" if (mask >> n) & 1 else "B"
+                # no edge can join two components of G - sep, so the assembled
+                # pair is a separation by construction; skip re-validation here
+                s = separation_from_separator(g, sep, assignment, validate=False)
+                if s not in known:
+                    known[s] = (s, classify(g, s))
+                s, cl = known[s]
+                if cl.tight or (include_nontight and cl.proper):
+                    found.append(s)
+            expansions[key] = tuple(sorted(found))
+        parts.append(expansions[key])
+    uniq = parts[0] if len(parts) == 1 else tuple(sorted(set().union(*parts)))
+    return Bottleneck(pair=(x, y), order=k, separations=uniq)

@@ -14,6 +14,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .chordal import maximal_cliques
 from .errors import (
     ImproperSeparation,
+    InvariantViolation,
     NotAClique,
     NotATree,
     NotNested,
@@ -53,6 +54,9 @@ class TreeDecomposition:
             extra = set(node) - {"id", "bag"}
             if extra:
                 raise ValueError(f"unknown fields in node JSON: {sorted(extra)}")
+            missing = {"id", "bag"} - set(node)
+            if missing:
+                raise ValueError(f"node JSON lacks the fields {sorted(missing)}")
             ids.append(node["id"])
             bags[node["id"]] = frozenset(node["bag"])
         edges = [(e[0], e[1]) for e in data.get("edges", [])]
@@ -138,7 +142,8 @@ def induced_separation(g: Graph, td: TreeDecomposition, f: Tuple[str, str]) -> S
     a1 = frozenset().union(*(td.bags[t] for t in side1))
     a2 = frozenset().union(*(td.bags[t] for t in set(td.tree.vertices) - side1))
     s = Separation(a1, a2)
-    assert s.separator == td.bags[t1] & td.bags[t2], "adhesion is not the separator"
+    if s.separator != td.bags[t1] & td.bags[t2]:
+        raise InvariantViolation(f"adhesion of tree edge {f!r} is not the separator")
     return s
 
 
@@ -249,9 +254,11 @@ def build_td_from_nested(g: Graph, n: Iterable[Separation]) -> TreeDecomposition
 
     td = TreeDecomposition(tree=Graph([names[r] for r in reps], edges), bags=bags)
     _check_tree(td.tree)
-    assert verify_td(g, td)["ok"], "constructed decomposition failed validation"
+    if not verify_td(g, td)["ok"]:
+        raise InvariantViolation("constructed decomposition failed verify_td")
     induced = {induced_separation(g, td, e) for e in td.tree.edges()}
-    assert induced == set(seps), "edge-separation bijection failed"
+    if induced != set(seps):
+        raise InvariantViolation("tree edges do not biject onto the separations")
     return td
 
 
@@ -362,9 +369,10 @@ def contract_to_maximal(
     )
     _check_tree(out.tree)
     for u, v in out.tree.edges():
-        assert not (out.bags[u] <= out.bags[v] or out.bags[v] <= out.bags[u]), (
-            "containment between neighboring bags survived contraction"
-        )
+        if out.bags[u] <= out.bags[v] or out.bags[v] <= out.bags[u]:
+            raise InvariantViolation(
+                f"neighboring bags {u!r} and {v!r} are nested after contraction"
+            )
     return out
 
 

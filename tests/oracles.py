@@ -1,8 +1,10 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with one exception: `flow_min_separators` builds on the package's
-`_VertexFlow` max flow, which criterion 3 checks against brute force.
+with two exceptions: `flow_min_separators` builds on the package's
+`_VertexFlow` max flow, which criterion 3 checks against brute force, and
+`explicit_beta` on `clique_min_separators`, `separation_from_separator`
+and `classify`, which the separation tests check on their own.
 Values produced by these functions are compared against the package's
 own algorithms.
 """
@@ -14,8 +16,15 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 
 import networkx as nx
 
+from cliquedec.chordal import MaximalClique
 from cliquedec.graph import Graph
-from cliquedec.separations import _VertexFlow
+from cliquedec.separations import (
+    Separation,
+    _VertexFlow,
+    classify,
+    clique_min_separators,
+    separation_from_separator,
+)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -222,6 +231,38 @@ def _scc(nodes, succ):
                         break
                 comps.append(comp)
     return comp_of, comps
+
+
+def explicit_beta(
+    g: Graph, x: MaximalClique, y: MaximalClique, include_nontight: bool = False
+) -> Tuple[Separation, ...]:
+    """The separations of beta(g, x, y), expanded for this pair alone.
+
+    For each minimum separator S, every side assignment of the free
+    components of G - S is built, validated and classified afresh; nothing
+    is shared between pairs or cached.
+    """
+    xs, ys = x.vertices, y.vertices
+    out = []
+    for sep in clique_min_separators(g, xs, ys):
+        forced = {}
+        free = []
+        for comp, _full in g.components_after_deletion(sep):
+            if comp & xs:
+                forced[comp] = "A"
+            elif comp & ys:
+                forced[comp] = "B"
+            else:
+                free.append(comp)
+        for mask in range(1 << len(free)):
+            assignment = dict(forced)
+            for i, comp in enumerate(free):
+                assignment[comp] = "A" if (mask >> i) & 1 else "B"
+            s = separation_from_separator(g, sep, assignment)
+            cl = classify(g, s)
+            if cl.tight or (include_nontight and cl.proper):
+                out.append(s)
+    return tuple(sorted(set(out)))
 
 
 def brute_minimal_separators(g: Graph) -> Set[FrozenSet[str]]:

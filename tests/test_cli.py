@@ -1,12 +1,19 @@
 """End-to-end command-line tests: exit codes, JSON schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cliquedec import cli
 from cliquedec.cli import main, reproduce_example_51
 from cliquedec.graph import Graph
-from cliquedec.instances import cycle, cycle_z_presentation, star, wheel
+from cliquedec.instances import cycle, cycle_z_presentation, ktree, star, wheel
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write_graph(tmp_path, g, name="g.json"):
@@ -47,6 +54,64 @@ def test_usage_and_input_errors(tmp_path, capsys):
     assert main(["check-chordal", "--in", str(unknown)]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_missing_fields_and_coparts_are_input_errors(tmp_path, capsys):
+    pres = cycle_z_presentation(6).to_json_dict()
+    cases = {
+        "'base'": {k: v for k, v in pres.items() if k != "base"},
+        "['word']": {**pres, "voltages": [{"edge": pres["voltages"][0]["edge"]}]},
+    }
+    for field, data in cases.items():
+        vf = tmp_path / "v.json"
+        vf.write_text(json.dumps(data))
+        assert main(["fold", "--voltage", str(vf), "-L", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lacks the field" in captured.err and field in captured.err
+    gf = _write_graph(tmp_path, cycle(3))
+    td = tmp_path / "td.json"
+    td.write_text(json.dumps({"nodes": [{"id": "t0"}], "edges": []}))
+    assert main(["verify-td", "--in", gf, "--td", str(td)]) == 2
+    assert "lacks the fields ['bag']" in capsys.readouterr().err
+    # a base graph that is not the cover's: some vertex has no co-part
+    vf = _write_voltage(tmp_path, cycle_z_presentation(6))
+    sf = _write_graph(tmp_path, star(3), "star.json")
+    assert main(["r-acyclic", "--in", sf, "--voltage", vf, "-L", "3", "-r", "3"]) == 2
+    assert "no co-part" in capsys.readouterr().err
+
+
+def test_key_error_is_not_an_input_error(tmp_path, monkeypatch):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_check_chordal", broken)
+    with pytest.raises(KeyError):
+        main(["check-chordal", "--in", _write_graph(tmp_path, star(3))])
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, extra",
+    [
+        ("canonical-td", "--in", ktree(12, 3, seed=1).to_json_dict(), []),
+        ("fold", "--voltage", cycle_z_presentation(6).to_json_dict(), ["-L", "3"]),
+    ],
+    ids=["canonical-td", "fold"],
+)
+def test_optimised_mode_prints_the_same_bytes(tmp_path, command, flag, data, extra):
+    """`python -O` drops asserts; the output must not depend on them."""
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data))
+    argv = ["-m", "cliquedec.cli", command, flag, str(f), "--json", *extra]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    runs = [
+        subprocess.run(
+            [sys.executable, *opt, *argv], capture_output=True, env=env, timeout=120
+        )
+        for opt in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout and runs[1].stdout == runs[0].stdout
 
 
 def test_max_cliques(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquedec import separations
 from cliquedec.chordal import MaximalClique, is_chordal, maximal_cliques
 from cliquedec.covers import derive_window
 from cliquedec.errors import CliquesEqual, EmptySide, NotAClique, NotASeparation, NotChordal
@@ -19,6 +20,7 @@ from cliquedec.instances import (
     star,
     two_triangles,
 )
+from cliquedec.nested import construct_N
 from cliquedec.separations import (
     CROSSING,
     NESTED,
@@ -33,7 +35,13 @@ from cliquedec.separations import (
 )
 from cliquedec.symmetry import automorphism_generators
 
-from oracles import brute_min_separators, flow_min_separators, random_clique, random_graph
+from oracles import (
+    brute_min_separators,
+    explicit_beta,
+    flow_min_separators,
+    random_clique,
+    random_graph,
+)
 
 
 def _comp_map(g, separator, assignment_by_member):
@@ -51,6 +59,12 @@ def test_separation_canonical_orientation():
     s2 = Separation(frozenset("bc"), frozenset("ab"))
     assert s1 == s2 and hash(s1) == hash(s2)
     assert s1.separator == frozenset("b") and s1.order == 1
+    # the hash is computed once, from the sorted sides, however they came
+    swap = {"a": "c", "b": "b", "c": "a"}
+    s3 = s1.apply(swap)
+    assert s3 == s1 and hash(s3) == hash(s1) and s3.apply(swap) == s1
+    assert len({s1, s2, s3, Separation(frozenset("cb"), frozenset("ba"))}) == 1
+    assert s1 != Separation(frozenset("ab"), frozenset("abc"))
 
 
 def test_separation_from_separator_examples():
@@ -236,6 +250,61 @@ def test_beta_order_bound_and_tightness():
                     assert s.separator in set(
                         __import__("cliquedec.chordal", fromlist=["minimal_separators"]).minimal_separators(g)
                     )
+
+
+# -- the cached expansion of beta against the per-pair oracle
+
+
+def _beta_matches_explicit(g):
+    for x, y in itertools.combinations(maximal_cliques(g), 2):
+        for nontight in (False, True):
+            want = explicit_beta(g, x, y, include_nontight=nontight)
+            assert beta(g, x, y, include_nontight=nontight).separations == want, (x, y)
+            assert beta(g, y, x, include_nontight=nontight).separations == want, (y, x)
+
+
+def test_beta_matches_explicit_suite1(suite1):
+    for g, _res in suite1:
+        _beta_matches_explicit(g)
+
+
+def test_beta_matches_explicit_c6z_window():
+    _beta_matches_explicit(derive_window(cycle_z_presentation(6), 4).window)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 40))
+def test_beta_matches_explicit_random_chordal(seed, n):
+    _beta_matches_explicit(random_chordal(n, seed))
+
+
+def test_construct_n_classifies_each_distinct_separation_once(suite1, monkeypatch):
+    g = Graph.from_json_dict(suite1[0][0].to_json_dict())  # nothing cached yet
+    calls = []
+    real = separations.classify
+
+    def counted(g, s):
+        calls.append(s)
+        return real(g, s)
+
+    monkeypatch.setattr(separations, "classify", counted)
+    construct_N(g)
+    pairs = itertools.combinations(maximal_cliques(g), 2)
+    bottlenecks = [beta(g, x, y) for x, y in pairs]
+    distinct = {s for b in bottlenecks for s in b.separations}
+    assert sum(len(b.separations) for b in bottlenecks) > len(distinct)
+    assert len(calls) == len(set(calls)) == len(distinct)
+
+
+def test_beta_shares_separation_objects():
+    g = random_chordal(30, seed=5)
+    first_seen = {}
+    for x, y in itertools.combinations(maximal_cliques(g), 2):
+        b, again = beta(g, x, y), beta(g, x, y)
+        assert len(b.separations) == len(again.separations)
+        assert all(s is t for s, t in zip(b.separations, again.separations))
+        for s in b.separations:
+            assert first_seen.setdefault(s, s) is s
 
 
 # -- clique-tree minimum separators against the max-flow and brute-force oracles

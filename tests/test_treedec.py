@@ -2,9 +2,11 @@
 
 import pytest
 
+from cliquedec import treedec
 from cliquedec.chordal import maximal_cliques
 from cliquedec.errors import (
     ImproperSeparation,
+    InvariantViolation,
     NotAClique,
     NotATree,
     NotNested,
@@ -121,6 +123,18 @@ def test_build_td_rejects_bad_input():
     improper = {Separation(frozenset(g.vertices), frozenset({"c"}))}
     with pytest.raises(ImproperSeparation):
         build_td_from_nested(g, improper)
+
+
+def test_broken_invariants_raise_typed_errors(monkeypatch):
+    # a vertex in two bags that are not adjacent: the adhesion misses it
+    td = _td([("t1", "t2"), ("t2", "t3")], {"t1": "ab", "t2": "b", "t3": "ac"})
+    with pytest.raises(InvariantViolation, match="adhesion"):
+        induced_separation(Graph("abc"), td, ("t1", "t2"))
+    g = star(3)
+    seps = construct_N(g).union
+    monkeypatch.setattr(treedec, "verify_td", lambda g, td: {"ok": False})
+    with pytest.raises(InvariantViolation, match="verify_td"):
+        build_td_from_nested(g, seps)
 
 
 def test_build_td_bijection_roundtrip():
