@@ -11,13 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .errors import TooLarge
+from .errors import InvariantViolation, TooLarge
 from .graph import Graph
 from .separations import Separation
 from .treedec import TreeDecomposition, classify_td
 
 GROUP_ORDER_BOUND = 10**6
-DEFAULT_VERTEX_BOUND = 64
+# extend() calls per automorphism_generators run: a search that fails may
+# backtrack through exponentially many partial maps.
+AUTOMORPHISM_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -44,44 +46,66 @@ def _refine_colors(g: Graph) -> Dict[str, int]:
 
 
 def is_automorphism(g: Graph, phi: Dict[str, str]) -> bool:
-    if sorted(phi) != sorted(phi.values()) or set(phi) != set(g.vertices):
+    """Is phi a bijection of V(G) that maps each neighbourhood onto the
+    neighbourhood of the image?  O(n + m)."""
+    vertices = set(g.vertices)
+    if set(phi) != vertices or set(phi.values()) != vertices:
         return False
-    for u in g.vertices:
-        for v in g.vertices:
-            if g.has_edge(u, v) != g.has_edge(phi[u], phi[v]):
-                return False
-    return True
+    return all(
+        {phi[u] for u in g.neighbors(v)} == g.neighbors(phi[v]) for v in g.vertices
+    )
 
 
-def automorphism_generators(g: Graph, bound: int = DEFAULT_VERTEX_BOUND) -> AutomorphismSet:
-    """A generating set of Aut(G) via a stabilizer chain.
+def _orbit(point: str, generators: Iterable[Dict[str, str]]) -> set:
+    orbit, queue = {point}, [point]
+    while queue:
+        x = queue.pop()
+        for phi in generators:
+            if phi[x] not in orbit:
+                orbit.add(phi[x])
+                queue.append(phi[x])
+    return orbit
 
-    For each base point in turn, every image in its orbit-compatible color
-    class is tried; one generator is kept per reachable image, and the
-    group order is the product of per-level image counts.
+
+def automorphism_generators(g: Graph) -> AutomorphismSet:
+    """A strong generating set of Aut(G) via a Schreier-Sims-style
+    stabilizer chain over the base `g.vertices`.
+
+    Levels run from the deepest to the shallowest, so every generator
+    found so far fixes vertices[:i].  At level i the backtracking search
+    starts only for images of vertices[i] outside its orbit under those
+    generators, and each successful search adds one generator.  The orbit
+    is then the basic orbit of vertices[i] in the pointwise stabilizer of
+    vertices[:i], and the group order is the product of the orbit sizes.
+    The search counts its nodes against AUTOMORPHISM_BUDGET.
     """
-    if len(g) > bound:
-        raise TooLarge(f"graph has {len(g)} vertices, bound is {bound}")
     color = _refine_colors(g)
     vertices = list(g.vertices)
     n = len(vertices)
     generators: List[Dict[str, str]] = []
     order = 1
+    nodes = 0
+
+    def fits(v: str, w: str, mapping: Dict[str, str], used: set) -> bool:
+        """Does v -> w keep the colour and every adjacency to mapped vertices?"""
+        return color[w] == color[v] and {
+            mapping[u] for u in g.neighbors(v) if u in mapping
+        } == g.neighbors(w) & used
 
     def extend(mapping: Dict[str, str], used: set) -> Optional[Dict[str, str]]:
         """Complete a partial mapping to a full automorphism by backtracking."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > AUTOMORPHISM_BUDGET:
+            raise TooLarge(
+                f"automorphism search budget is {AUTOMORPHISM_BUDGET} nodes, "
+                f"reached {nodes} on {n} vertices"
+            )
         if len(mapping) == n:
             return dict(mapping)
         v = next(u for u in vertices if u not in mapping)
         for w in vertices:
-            if w in used or color[w] != color[v]:
-                continue
-            ok = True
-            for u, img in mapping.items():
-                if g.has_edge(v, u) != g.has_edge(w, img):
-                    ok = False
-                    break
-            if not ok:
+            if w in used or not fits(v, w, mapping, used):
                 continue
             mapping[v] = w
             used.add(w)
@@ -92,29 +116,21 @@ def automorphism_generators(g: Graph, bound: int = DEFAULT_VERTEX_BOUND) -> Auto
             used.discard(w)
         return None
 
-    # stabilizer chain over the canonical base: at level i, count images of
-    # vertices[i] under automorphisms fixing vertices[:i] pointwise
-    for i, v in enumerate(vertices):
-        images = 0
-        for w in vertices:
-            if color[w] != color[v]:
+    for i in reversed(range(n)):
+        v = vertices[i]
+        fixed = {u: u for u in vertices[:i]}
+        used = set(fixed)
+        orbit = _orbit(v, generators)
+        for w in vertices[i + 1:]:
+            if w in orbit or not fits(v, w, fixed, used):
                 continue
-            mapping = {vertices[j]: vertices[j] for j in range(i)}
-            if w in mapping.values() and w != v:
-                continue
-            if any(
-                g.has_edge(v, u) != g.has_edge(w, u) for u in mapping
-            ):
-                continue
-            mapping[v] = w
-            res = extend(mapping, set(mapping.values()))
-            if res is not None:
-                images += 1
-                if w != v:
-                    generators.append(res)
-        order *= images
-    for phi in generators:
-        assert is_automorphism(g, phi)
+            phi = extend({**fixed, v: w}, used | {w})
+            if phi is not None:
+                if not is_automorphism(g, phi):
+                    raise InvariantViolation("search found a map that is not an automorphism")
+                generators.append(phi)
+                orbit = _orbit(v, generators)
+        order *= len(orbit)
     return AutomorphismSet(
         generators=tuple(generators),
         group_order=order if order <= GROUP_ORDER_BOUND else None,
@@ -206,7 +222,8 @@ def verify_canonical_td(g: Graph, td: TreeDecomposition, aut: AutomorphismSet) -
     For each generator a compatible tree automorphism is searched; the
     decomposition is canonical iff all generators admit one (closure under
     the subgroup follows).  For regular decompositions the witness is
-    unique, which is asserted by searching on for a second one.
+    unique, which is checked by searching on for a second one
+    (InvariantViolation if found).
     """
     report = {"canonical": True, "per_generator": []}
     regular = classify_td(g, td).regular
@@ -218,6 +235,7 @@ def verify_canonical_td(g: Graph, td: TreeDecomposition, aut: AutomorphismSet) -
             report["canonical"] = False
         elif regular:
             entry["unique"] = len(actions) == 1
-            assert entry["unique"], "regular decomposition admits two actions"
+            if not entry["unique"]:
+                raise InvariantViolation("regular decomposition admits two tree actions")
         report["per_generator"].append(entry)
     return report

@@ -1,10 +1,11 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with two exceptions: `flow_min_separators` builds on the package's
-`_VertexFlow` max flow, which criterion 3 checks against brute force, and
+with three exceptions: `flow_min_separators` builds on the package's
+`_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
-and `classify`, which the separation tests check on their own.
+and `classify`, which the separation tests check on their own, and
+`all_images_automorphisms` on the colour refinement `_refine_colors`.
 Values produced by these functions are compared against the package's
 own algorithms.
 """
@@ -12,7 +13,7 @@ own algorithms.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -25,6 +26,7 @@ from cliquedec.separations import (
     clique_min_separators,
     separation_from_separator,
 )
+from cliquedec.symmetry import _refine_colors
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -263,6 +265,82 @@ def explicit_beta(
             if cl.tight or (include_nontight and cl.proper):
                 out.append(s)
     return tuple(sorted(set(out)))
+
+
+def pairwise_is_automorphism(g: Graph, phi: Dict[str, str]) -> bool:
+    """Bijection test plus one `has_edge` comparison per vertex pair: O(n^2)."""
+    if sorted(phi) != sorted(phi.values()) or set(phi) != set(g.vertices):
+        return False
+    for u in g.vertices:
+        for v in g.vertices:
+            if g.has_edge(u, v) != g.has_edge(phi[u], phi[v]):
+                return False
+    return True
+
+
+def all_images_automorphisms(g: Graph) -> Tuple[List[Dict[str, str]], List[List[str]]]:
+    """Generators of Aut(G) and, per base level i, the images of
+    vertices[i] under the automorphisms fixing vertices[:i] pointwise.
+
+    The stabilizer chain that tries every image at every level, with one
+    generator per image; the group order is the product of the level
+    sizes.  Kept verbatim, except that it has no vertex cap and returns the
+    images of each level instead of the rounded order.
+    """
+    color = _refine_colors(g)
+    vertices = list(g.vertices)
+    n = len(vertices)
+    generators: List[Dict[str, str]] = []
+    levels: List[List[str]] = []
+
+    def extend(mapping: Dict[str, str], used: set) -> Optional[Dict[str, str]]:
+        """Complete a partial mapping to a full automorphism by backtracking."""
+        if len(mapping) == n:
+            return dict(mapping)
+        v = next(u for u in vertices if u not in mapping)
+        for w in vertices:
+            if w in used or color[w] != color[v]:
+                continue
+            ok = True
+            for u, img in mapping.items():
+                if g.has_edge(v, u) != g.has_edge(w, img):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[v] = w
+            used.add(w)
+            res = extend(mapping, used)
+            if res is not None:
+                return res
+            del mapping[v]
+            used.discard(w)
+        return None
+
+    # stabilizer chain over the canonical base: at level i, count images of
+    # vertices[i] under automorphisms fixing vertices[:i] pointwise
+    for i, v in enumerate(vertices):
+        images = []
+        for w in vertices:
+            if color[w] != color[v]:
+                continue
+            mapping = {vertices[j]: vertices[j] for j in range(i)}
+            if w in mapping.values() and w != v:
+                continue
+            if any(
+                g.has_edge(v, u) != g.has_edge(w, u) for u in mapping
+            ):
+                continue
+            mapping[v] = w
+            res = extend(mapping, set(mapping.values()))
+            if res is not None:
+                images.append(w)
+                if w != v:
+                    generators.append(res)
+        levels.append(images)
+    for phi in generators:
+        assert pairwise_is_automorphism(g, phi)
+    return generators, levels
 
 
 def brute_minimal_separators(g: Graph) -> Set[FrozenSet[str]]:

@@ -11,7 +11,7 @@ import pytest
 from cliquedec import cli
 from cliquedec.cli import main, reproduce_example_51
 from cliquedec.graph import Graph
-from cliquedec.instances import cycle, cycle_z_presentation, ktree, star, wheel
+from cliquedec.instances import complete, cycle, cycle_z_presentation, ktree, star, wheel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,9 +94,10 @@ def test_key_error_is_not_an_input_error(tmp_path, monkeypatch):
     "command, flag, data, extra",
     [
         ("canonical-td", "--in", ktree(12, 3, seed=1).to_json_dict(), []),
+        ("canonical-td", "--in", star(6).to_json_dict(), []),
         ("fold", "--voltage", cycle_z_presentation(6).to_json_dict(), ["-L", "3"]),
     ],
-    ids=["canonical-td", "fold"],
+    ids=["canonical-td", "canonical-td-star6", "fold"],
 )
 def test_optimised_mode_prints_the_same_bytes(tmp_path, command, flag, data, extra):
     """`python -O` drops asserts; the output must not depend on them."""
@@ -146,6 +147,14 @@ def test_bottleneck_expansion_budget_is_an_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert "bottleneck expansion budget is 20" in captured.err
     assert "leaves 21" in captured.err
+
+
+def test_canonical_td_past_64_vertices(tmp_path, capsys):
+    # the automorphism search is bounded by its node budget, not by size
+    f = _write_graph(tmp_path, complete(70))
+    assert main(["canonical-td", "--in", f, "--json"]) == 0
+    out = _json_out(capsys)
+    assert out["canonical"] and out["into_maximal_cliques"]
 
 
 def test_local_chordal(tmp_path, capsys):

@@ -1,13 +1,20 @@
 """Automorphism generators, orbit closure, canonicity of decompositions."""
 
-import pytest
+import math
 
-from cliquedec.errors import TooLarge
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import all_images_automorphisms, pairwise_is_automorphism
+
+from cliquedec import symmetry
+from cliquedec.errors import InvariantViolation, TooLarge
 from cliquedec.graph import Graph
-from cliquedec.instances import cycle, path, random_chordal, star, two_triangles
+from cliquedec.instances import complete, cycle, path, random_chordal, star, two_triangles
 from cliquedec.nested import construct_N
 from cliquedec.separations import Separation
 from cliquedec.symmetry import (
+    AutomorphismSet,
     automorphism_generators,
     is_automorphism,
     orbit_closure,
@@ -43,9 +50,145 @@ def test_automorphisms_cycle_and_path():
     assert automorphism_generators(path(4)).group_order == 2
 
 
-def test_automorphism_bound():
-    with pytest.raises(TooLarge):
-        automorphism_generators(path(5), bound=4)
+def test_automorphism_bound(monkeypatch):
+    monkeypatch.setattr(symmetry, "AUTOMORPHISM_BUDGET", 4)
+    with pytest.raises(TooLarge, match="budget is 4 nodes, reached 5 on 5 vertices"):
+        automorphism_generators(path(5))
+
+
+def test_one_generator_per_new_orbit_point():
+    for n in (2, 3, 10, 60):
+        aut = automorphism_generators(complete(n))
+        assert len(aut.generators) == n - 1
+    assert automorphism_generators(complete(9)).group_order == math.factorial(9)
+    # one image per leaf at the parent: 59 + 58 + ... + 1 = 1,770
+    assert len(automorphism_generators(star(60)).generators) == 59
+
+
+def test_is_automorphism_rejects_broken_maps():
+    g = path(4)  # v0 - v1 - v2 - v3
+    flip = {"v0": "v3", "v1": "v2", "v2": "v1", "v3": "v0"}
+    assert is_automorphism(g, flip)
+    rejected = {
+        "not a bijection": {**flip, "v1": "v3"},
+        "misses a vertex": {"v0": "v3", "v1": "v2", "v2": "v1"},
+        "breaks an edge": {"v0": "v1", "v1": "v0", "v2": "v2", "v3": "v3"},
+        "leaves the graph": {**flip, "v0": "x"},
+    }
+    for name, phi in rejected.items():
+        assert not is_automorphism(g, phi), name
+        assert not pairwise_is_automorphism(g, phi), name
+
+
+def test_broken_symmetry_invariants_raise_typed_errors(monkeypatch):
+    g = star(3)
+    with monkeypatch.context() as m:
+        m.setattr(symmetry, "is_automorphism", lambda g, phi: False)
+        with pytest.raises(InvariantViolation, match="not an automorphism"):
+            automorphism_generators(g)
+    td = build_td_from_nested(g, construct_N(g).union)
+    aut = automorphism_generators(g)
+    real = symmetry._tree_automorphisms_for
+    monkeypatch.setattr(
+        symmetry,
+        "_tree_automorphisms_for",
+        lambda td, gamma, limit: real(td, gamma, limit) * 2,
+    )
+    with pytest.raises(InvariantViolation, match="two tree actions"):
+        verify_canonical_td(g, td, aut)
+
+
+def _orbit(point, generators):
+    orbit, queue = {point}, [point]
+    while queue:
+        x = queue.pop()
+        for phi in generators:
+            if phi[x] not in orbit:
+                orbit.add(phi[x])
+                queue.append(phi[x])
+    return orbit
+
+
+def _same_group_as_oracle(g):
+    """Level by level, the basic orbits of the returned generators are the
+    oracle's image sets, so both sets generate the same group; and the
+    unrounded orders, the products of the level sizes, are equal."""
+    aut = automorphism_generators(g)
+    gens, levels = all_images_automorphisms(g)
+    vertices = list(g.vertices)
+    orbits = []
+    for i, v in enumerate(vertices):
+        fixing = [
+            phi for phi in aut.generators if all(phi[u] == u for u in vertices[:i])
+        ]
+        orbits.append(_orbit(v, fixing))
+        assert orbits[i] == set(levels[i]), (i, v)
+    order = math.prod(map(len, orbits))
+    assert order == math.prod(map(len, levels))
+    assert aut.group_order == (order if order <= symmetry.GROUP_ORDER_BOUND else None)
+    assert all(pairwise_is_automorphism(g, phi) for phi in aut.generators)
+    return aut, gens
+
+
+def _windmill(m, blades):
+    edges = []
+    for b in range(blades):
+        blade = ["c"] + [f"b{b}_{k}" for k in range(m - 1)]
+        edges += [(x, y) for j, x in enumerate(blade) for y in blade[j + 1:]]
+    return Graph(sorted({x for e in edges for x in e}), edges)
+
+
+def _triangle_tree(depth, branching):
+    """Each triangle hangs `branching` child triangles on each of its two
+    vertices not shared with its parent (one on the root vertex)."""
+    vertices, edges, frontier = ["r"], [], [("r",)]
+    for level in range(depth):
+        nxt = []
+        for free in frontier:
+            for v in free:
+                for _ in range(branching if level else 1):
+                    b, c = f"t{len(vertices)}", f"t{len(vertices) + 1}"
+                    vertices += [b, c]
+                    edges += [(v, b), (v, c), (b, c)]
+                    nxt.append((b, c))
+        frontier = nxt
+    return Graph(vertices, edges)
+
+
+SYMMETRIC_FAMILIES = (
+    [(f"star-{t}", star(t)) for t in range(3, 9)]
+    + [(f"windmill-3-{b}", _windmill(3, b)) for b in range(4, 9)]
+    + [(f"complete-{n}", complete(n)) for n in range(8, 33)]
+    + [
+        (f"triangles-{d}-{b}", _triangle_tree(d, b))
+        for d, b in ((1, 1), (2, 2), (3, 1), (2, 3))
+    ]
+)
+
+
+def test_generators_match_all_images_oracle_suite1(suite1):
+    for g, res in suite1:
+        aut, gens = _same_group_as_oracle(g)
+        assert aut.group_order == res["aut"].group_order
+        oracle = AutomorphismSet(generators=tuple(gens), group_order=None)
+        assert (
+            verify_canonical_td(g, res["td"], oracle)["canonical"]
+            == verify_canonical_td(g, res["td"], aut)["canonical"]
+            == res["canonical"]
+        )
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in SYMMETRIC_FAMILIES], ids=[name for name, _ in SYMMETRIC_FAMILIES]
+)
+def test_generators_match_all_images_oracle_symmetric(g):
+    _same_group_as_oracle(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 40))
+def test_generators_match_all_images_oracle_random_chordal(seed, n):
+    _same_group_as_oracle(random_chordal(n, seed))
 
 
 def test_orbit_closure_star_splits():
