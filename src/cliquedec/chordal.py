@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import NotChordal
+from .errors import InvariantViolation, NotChordal
 from .graph import Graph
 
 
@@ -143,7 +143,8 @@ def is_chordal(g: Graph):
     if _verify_peo(g, order) is None:
         return True, EliminationOrdering(tuple(order))
     hole = _find_hole(g)
-    assert hole is not None, "PEO verification failed but no hole found"
+    if hole is None:
+        raise InvariantViolation("PEO verification failed but no hole found")
     return False, hole
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 success / verdict true, 1 verdict false (witness printed),
 from __future__ import annotations
 
 import argparse
+import heapq
 import itertools
 import json
 import sys
@@ -20,7 +21,13 @@ from .covers import (
     r_acyclic_check,
     verify_graph_decomposition,
 )
-from .errors import CliquedecError, OutOfRange, WindowNotChordal
+from .errors import (
+    CliquedecError,
+    InvariantViolation,
+    OutOfRange,
+    PreconditionViolated,
+    WindowNotChordal,
+)
 from .graph import Graph
 from .instances import make_instance, star
 from .nested import construct_N
@@ -80,26 +87,24 @@ def cmd_max_cliques(args) -> int:
     return 0
 
 
-def canonical_td_pipeline(g: Graph, include_nontight: bool = False) -> dict:
+def canonical_td_pipeline(g: Graph) -> dict:
     """construct_N, build the tree, and verify canonicity end to end."""
-    n = construct_N(g, include_nontight=include_nontight)
+    n = construct_N(g)
     td = build_td_from_nested(g, n.union)
     aut = automorphism_generators(g)
     canon = verify_canonical_td(g, td, aut)
-    cls = classify_td(g, td)
     return {
         "nested_set": n,
         "td": td,
         "aut": aut,
         "canonical": canon["canonical"],
-        "classification": cls,
-        "beta_restricted_to_tight": not include_nontight,
+        "classification": canon["classification"],
     }
 
 
 def cmd_canonical_td(args) -> int:
     g = _load_graph(args.infile)
-    res = canonical_td_pipeline(g, include_nontight=args.beta_include_nontight)
+    res = canonical_td_pipeline(g)
     td = res["td"]
     report = {
         "decomposition": td.to_json_dict(),
@@ -107,7 +112,8 @@ def cmd_canonical_td(args) -> int:
         "regular": res["classification"].regular,
         "into_cliques": res["classification"].into_cliques,
         "into_maximal_cliques": res["classification"].into_maximal_cliques,
-        "beta_restricted_to_tight": res["beta_restricted_to_tight"],
+        # bottleneck separations are always tight; the key stays in the schema
+        "beta_restricted_to_tight": True,
     }
     _emit(args, report)
     return 0 if res["canonical"] else 1
@@ -115,8 +121,7 @@ def cmd_canonical_td(args) -> int:
 
 def cmd_maximal_td(args) -> int:
     g = _load_graph(args.infile)
-    res = canonical_td_pipeline(g)
-    td = contract_to_maximal(g, res["td"], orbit_order=args.orbit_order)
+    td = contract_to_maximal(g, build_td_from_nested(g, construct_N(g).union))
     cls = classify_td(g, td)
     _emit(
         args,
@@ -167,49 +172,50 @@ def cmd_verify_td(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _base_and_fold(args):
+    """Load --in and --voltage, check that --in is the presentation's base
+    graph (its vertex and edge sets, in any order), and fold the cover."""
+    g, pres = _load_graph(args.infile), _load_voltage(args.voltage)
+    for h, other, where in ((g, pres.base, "--in"), (pres.base, g, "the base")):
+        only = set(h.vertices) - set(other.vertices) or [
+            e for e in h.edges() if not other.has_edge(*e)
+        ]
+        if only:
+            raise PreconditionViolated(
+                f"--in is not the voltage presentation's base: {sorted(only)} only in {where}"
+            )
+    return g, fold_pipeline(pres, args.L).gd
+
+
 def cmd_verify_gd(args) -> int:
-    g = _load_graph(args.infile)
-    gd = fold_pipeline(_load_voltage(args.voltage), args.L).gd
+    g, gd = _base_and_fold(args)
     report = verify_graph_decomposition(g, gd)
     _emit(args, report)
     return 0 if report["ok"] else 1
 
 
 def cmd_r_acyclic(args) -> int:
-    g = _load_graph(args.infile)
-    gd = fold_pipeline(_load_voltage(args.voltage), args.L).gd
+    g, gd = _base_and_fold(args)
     flag, info = r_acyclic_check(g, gd, args.r, seed=args.seed)
     _emit(args, {"r_acyclic": flag, "r": args.r, **info})
     return 0 if flag else 1
 
 
 def _prufer_trees(t: int):
-    """All labeled trees on nodes 0..t-1 via Prüfer sequences."""
-    if t == 1:
-        yield []
-        return
-    if t == 2:
-        yield [(0, 1)]
-        return
+    """All labeled trees on nodes 0..t-1, t >= 2, via Prüfer sequences."""
     for seq in itertools.product(range(t), repeat=t - 2):
         degree = [1] * t
         for x in seq:
             degree[x] += 1
         edges = []
-        seq_list = list(seq)
-        leaves = sorted(i for i in range(t) if degree[i] == 1)
-        import heapq
-
-        heap = leaves[:]
-        heapq.heapify(heap)
-        for x in seq_list:
+        heap = [i for i in range(t) if degree[i] == 1]  # ascending, so a heap
+        for x in seq:
             leaf = heapq.heappop(heap)
             edges.append((leaf, x))
             degree[x] -= 1
             if degree[x] == 1:
                 heapq.heappush(heap, x)
-        u, v = heapq.heappop(heap), heapq.heappop(heap)
-        edges.append((u, v))
+        edges.append((heapq.heappop(heap), heapq.heappop(heap)))
         yield edges
 
 
@@ -227,14 +233,16 @@ def reproduce_example_51(t: int) -> dict:
     cliques = sorted(
         (c.vertices for c in maximal_cliques(g)), key=lambda c: sorted(c)
     )
-    assert len(cliques) == t
+    if len(cliques) != t:
+        raise InvariantViolation(f"star({t}) has {len(cliques)} maximal cliques")
     candidates = 0
     canonical = 0
     for edges in _prufer_trees(t):
         bags = {f"t{i}": cliques[i] for i in range(t)}
         tree = Graph([f"t{i}" for i in range(t)], [(f"t{u}", f"t{v}") for u, v in edges])
         td = TreeDecomposition(tree=tree, bags=bags)
-        assert verify_td(g, td)["ok"]
+        if not verify_td(g, td)["ok"]:
+            raise InvariantViolation(f"tree {edges} over the cliques is not a decomposition")
         candidates += 1
         if verify_canonical_td(g, td, aut)["canonical"]:
             canonical += 1
@@ -302,11 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("canonical-td", cmd_canonical_td, help="canonical tree-decomposition")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--beta-include-nontight", action="store_true")
 
     p = add("maximal-td", cmd_maximal_td, help="contract to maximal cliques")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--orbit-order", choices=["canonical", "input"], default="canonical")
 
     p = add("local-chordal", cmd_local_chordal, help="r-local chordality")
     p.add_argument("--in", dest="infile", required=True)

@@ -18,6 +18,7 @@ from .chordal import clique_tree, maximal_cliques
 from .errors import (
     ActionMismatch,
     BallNotPreserved,
+    InvariantViolation,
     LiftCrossesBoundary,
     NotAClique,
     NotChordal,
@@ -346,7 +347,7 @@ def lift_project_clique(
 ):
     """Project a window clique to the base, or enumerate all its window lifts.
 
-    Projection returns the image clique and asserts bijectivity; lifting
+    Projection returns the image clique and checks bijectivity; lifting
     returns every full lift inside the window (pairwise disjoint), raising
     LiftCrossesBoundary when a partial lift leaves the window.
     """
@@ -355,8 +356,10 @@ def lift_project_clique(
         if not window.window.is_clique(kf):
             raise NotAClique(f"{sorted(kf)} is not a window clique")
         image = [window.base_of[x] for x in kf]
-        assert len(set(image)) == len(kf), "projection not injective on a clique"
-        assert pres.base.is_clique(image), "projection of a clique is not a clique"
+        if len(set(image)) != len(kf):
+            raise InvariantViolation("projection not injective on a clique")
+        if not pres.base.is_clique(image):
+            raise InvariantViolation("projection of a clique is not a clique")
         return frozenset(image)
     if direction != "lift":
         raise ValueError("direction must be 'lift' or 'project'")
@@ -386,8 +389,8 @@ def lift_project_clique(
             lifts.append(members)
         elif all(window.safe(x, 1) for x in members):
             raise NotAClique(f"lift {sorted(members)} is not a clique in the window")
-    for a, b in itertools.combinations(lifts, 2):
-        assert not (a & b), "distinct lifts of a clique intersect"
+    if any(a & b for a, b in itertools.combinations(lifts, 2)):
+        raise InvariantViolation("distinct lifts of a clique intersect")
     return lifts
 
 

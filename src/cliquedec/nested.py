@@ -9,7 +9,7 @@ the ones crossing the fewest separations of the current order's pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from .chordal import maximal_cliques
 from .errors import (
@@ -32,13 +32,10 @@ from .separations import (
 
 @dataclass
 class NestedSetLevels:
-    """The selected separations, per order and in total, with provenance."""
+    """The selected separations, per order and in total."""
 
     levels: Dict[int, Set[Separation]] = field(default_factory=dict)
     union: Set[Separation] = field(default_factory=set)
-    provenance: Dict[Separation, List[Tuple[FrozenSet[str], FrozenSet[str]]]] = field(
-        default_factory=dict
-    )
 
     def below(self, k: int) -> Set[Separation]:
         out = set()
@@ -53,11 +50,7 @@ def crossing_count(s: Separation, pool: Sequence[Separation]) -> int:
     return sum(1 for t in pool if relate(s, t) == CROSSING)
 
 
-def construct_N(
-    g: Graph,
-    bottlenecks: Sequence[Bottleneck] | None = None,
-    include_nontight: bool = False,
-) -> NestedSetLevels:
+def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> NestedSetLevels:
     """Extract the canonical nested set from all clique-pair bottlenecks.
 
     Bottlenecks may be supplied (e.g. orbit-restricted ones on windows);
@@ -68,7 +61,7 @@ def construct_N(
     if bottlenecks is None:
         cliques = maximal_cliques(g)
         bottlenecks = [
-            beta(g, cliques[i], cliques[j], check=False, include_nontight=include_nontight)
+            beta(g, cliques[i], cliques[j], check=False)
             for i in range(len(cliques))
             for j in range(i + 1, len(cliques))
         ]
@@ -95,12 +88,7 @@ def construct_N(
                     f"no candidate for clique pair {b.pair} at order {k}"
                 )
             best = min(xk[s] for s in candidates)
-            for s in candidates:
-                if xk[s] == best:
-                    chosen_level.add(s)
-                    result.provenance.setdefault(s, []).append(
-                        (b.pair[0].vertices, b.pair[1].vertices)
-                    )
+            chosen_level.update(s for s in candidates if xk[s] == best)
         # same-level mutual nestedness is guaranteed, not arranged; verify
         chosen_sorted = sorted(chosen_level)
         for i, s in enumerate(chosen_sorted):

@@ -19,6 +19,7 @@ from .errors import (
     CliquesEqual,
     EmptySide,
     ImproperSeparation,
+    InvariantViolation,
     MengerViolation,
     NotAClique,
     NotASeparation,
@@ -107,7 +108,6 @@ def separation_from_separator(
     g: Graph,
     separator: FrozenSet[str],
     side_assignment: Dict[FrozenSet[str], str],
-    validate: bool = True,
 ) -> Separation:
     """Assemble {A, B} from a separator and a component -> 'A'/'B' map."""
     comps = [c for c, _ in g.components_after_deletion(separator)]
@@ -127,8 +127,7 @@ def separation_from_separator(
     if not a or not b:
         raise EmptySide("a separation side is empty")
     s = Separation(frozenset(a), frozenset(b))
-    if validate:
-        validate_separation(g, s)
+    validate_separation(g, s)
     return s
 
 
@@ -307,44 +306,41 @@ def clique_min_separators(
 # -- bottlenecks --------------------------------------------------------
 
 
-def beta(
-    g: Graph,
-    x: MaximalClique,
-    y: MaximalClique,
-    check: bool = True,
-    include_nontight: bool = False,
-) -> Bottleneck:
+def beta(g: Graph, x: MaximalClique, y: MaximalClique, check: bool = True) -> Bottleneck:
     """The bottleneck of two distinct maximal cliques of a chordal graph.
 
     All tight separations {A, B} of minimum order with X <= A and Y <= B;
     the order is strictly below min(|X|, |Y|).  A graph that is not chordal
     raises NotChordal.  Chordality is tested once per graph, when its clique
-    tree is built, so ``check`` no longer changes the work done.  Each
-    distinct separation is built and classified once per graph, and clique
-    pairs with the same minimum separator share its Separation objects.
+    tree is built, so ``check`` no longer changes the work done.  For a
+    minimum separator S the components of G - S holding X - S and Y - S are
+    full (else S less a vertex would still separate), so every side
+    assignment of the other components is tight.  Each graph builds each
+    distinct separation once, shared by all clique pairs.
     """
     xs, ys = x.vertices, y.vertices
     seps = clique_min_separators(g, xs, ys)
     k = len(seps[0])
     if k >= min(len(xs), len(ys)):
         raise ImproperSeparation(f"bottleneck order {k} is not below both clique sizes")
-    # Cached on the graph per separator: its components, its expansions
-    # keyed by the two forced components in either order (separations are
-    # unordered), and each distinct separation with its classification.
+    # Cached on the graph per separator: its components with their full
+    # flags, its expansions keyed by the two forced components in either
+    # order (separations are unordered), and each distinct separation.
     parts = []
     for sep in seps:
         entry = g._bottleneck_cache.get(sep)
         if entry is None:
-            comps = [comp for comp, _ in g.components_after_deletion(sep)]
-            where = {v: n for n, comp in enumerate(comps) for v in comp}
+            comps = g.components_after_deletion(sep)
+            where = {v: n for n, (comp, _) in enumerate(comps) for v in comp}
             entry = g._bottleneck_cache[sep] = (comps, where, {}, {})
         comps, where, expansions, known = entry
         i, j = sorted((where[next(iter(xs - sep))], where[next(iter(ys - sep))]))
         if i == j:
             raise NotASeparation(f"{g.sorted(sep)} fails to separate the cliques")
-        key = (i, j, include_nontight)
-        if key not in expansions:
-            free = [comp for n, comp in enumerate(comps) if n != i and n != j]
+        if (i, j) not in expansions:
+            if not (comps[i][1] and comps[j][1]):
+                raise InvariantViolation(f"minimum separator {g.sorted(sep)} is not tight")
+            free = [comp for n, (comp, _) in enumerate(comps) if n != i and n != j]
             if len(free) > EXPANSION_BUDGET:
                 raise TooLarge(
                     f"bottleneck expansion budget is {EXPANSION_BUDGET} free "
@@ -352,18 +348,12 @@ def beta(
                 )
             found = []
             for mask in range(1 << len(free)):
-                assignment = {comps[i]: "A", comps[j]: "B"}
+                a, b = set(sep | comps[i][0]), set(sep | comps[j][0])
                 for n, comp in enumerate(free):
-                    assignment[comp] = "A" if (mask >> n) & 1 else "B"
-                # no edge can join two components of G - sep, so the assembled
-                # pair is a separation by construction; skip re-validation here
-                s = separation_from_separator(g, sep, assignment, validate=False)
-                if s not in known:
-                    known[s] = (s, classify(g, s))
-                s, cl = known[s]
-                if cl.tight or (include_nontight and cl.proper):
-                    found.append(s)
-            expansions[key] = tuple(sorted(found))
-        parts.append(expansions[key])
+                    (a if (mask >> n) & 1 else b).update(comp)
+                s = Separation(a, b)
+                found.append(known.setdefault(s, s))
+            expansions[i, j] = tuple(sorted(found))
+        parts.append(expansions[i, j])
     uniq = parts[0] if len(parts) == 1 else tuple(sorted(set().union(*parts)))
     return Bottleneck(pair=(x, y), order=k, separations=uniq)

@@ -223,17 +223,17 @@ def verify_canonical_td(g: Graph, td: TreeDecomposition, aut: AutomorphismSet) -
     decomposition is canonical iff all generators admit one (closure under
     the subgroup follows).  For regular decompositions the witness is
     unique, which is checked by searching on for a second one
-    (InvariantViolation if found).
+    (InvariantViolation if found); report["classification"] is classify_td(g, td).
     """
-    report = {"canonical": True, "per_generator": []}
-    regular = classify_td(g, td).regular
+    cls = classify_td(g, td)
+    report = {"canonical": True, "per_generator": [], "classification": cls}
     for gamma in aut.generators:
-        actions = _tree_automorphisms_for(td, gamma, limit=2 if regular else 1)
+        actions = _tree_automorphisms_for(td, gamma, limit=2 if cls.regular else 1)
         phi = actions[0] if actions else None
         entry = {"generator": dict(gamma), "exists": phi is not None, "action": phi}
         if phi is None:
             report["canonical"] = False
-        elif regular:
+        elif cls.regular:
             entry["unique"] = len(actions) == 1
             if not entry["unique"]:
                 raise InvariantViolation("regular decomposition admits two tree actions")

@@ -32,9 +32,6 @@ class TreeDecomposition:
     tree: Graph
     bags: Dict[str, FrozenSet[str]]
 
-    def bag(self, node: str) -> FrozenSet[str]:
-        return self.bags[node]
-
     def to_json_dict(self) -> dict:
         return {
             "nodes": [

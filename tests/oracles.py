@@ -235,9 +235,7 @@ def _scc(nodes, succ):
     return comp_of, comps
 
 
-def explicit_beta(
-    g: Graph, x: MaximalClique, y: MaximalClique, include_nontight: bool = False
-) -> Tuple[Separation, ...]:
+def explicit_beta(g: Graph, x: MaximalClique, y: MaximalClique) -> Tuple[Separation, ...]:
     """The separations of beta(g, x, y), expanded for this pair alone.
 
     For each minimum separator S, every side assignment of the free
@@ -261,8 +259,7 @@ def explicit_beta(
             for i, comp in enumerate(free):
                 assignment[comp] = "A" if (mask >> i) & 1 else "B"
             s = separation_from_separator(g, sep, assignment)
-            cl = classify(g, s)
-            if cl.tight or (include_nontight and cl.proper):
+            if classify(g, s).tight:
                 out.append(s)
     return tuple(sorted(set(out)))
 

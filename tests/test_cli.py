@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from cliquedec import cli
+from cliquedec import cli, symmetry
 from cliquedec.cli import main, reproduce_example_51
+from cliquedec.covers import fold_pipeline, r_acyclic_check
+from cliquedec.errors import PreconditionViolated
 from cliquedec.graph import Graph
 from cliquedec.instances import complete, cycle, cycle_z_presentation, ktree, star, wheel
 
@@ -53,6 +55,10 @@ def test_usage_and_input_errors(tmp_path, capsys):
     unknown.write_text(json.dumps({"vertices": ["a"], "edges": [], "mystery": 1}))
     assert main(["check-chordal", "--in", str(unknown)]) == 2
     assert main(["no-such-command"]) == 2
+    # the removed options are unknown
+    ok_file = _write_graph(tmp_path, star(3))
+    assert main(["canonical-td", "--in", ok_file, "--beta-include-nontight"]) == 2
+    assert main(["maximal-td", "--in", ok_file, "--orbit-order", "input"]) == 2
     capsys.readouterr()
 
 
@@ -78,7 +84,32 @@ def test_missing_fields_and_coparts_are_input_errors(tmp_path, capsys):
     vf = _write_voltage(tmp_path, cycle_z_presentation(6))
     sf = _write_graph(tmp_path, star(3), "star.json")
     assert main(["r-acyclic", "--in", sf, "--voltage", vf, "-L", "3", "-r", "3"]) == 2
-    assert "no co-part" in capsys.readouterr().err
+    assert "is not the voltage presentation's base" in capsys.readouterr().err
+    gd = fold_pipeline(cycle_z_presentation(6), 3).gd
+    with pytest.raises(PreconditionViolated, match="no co-part"):
+        r_acyclic_check(star(3), gd, 3)
+
+
+def test_verify_gd_and_r_acyclic_need_the_base_graph(tmp_path, capsys):
+    pres = cycle_z_presentation(6)
+    vf = _write_voltage(tmp_path, pres)
+    base = pres.base.to_json_dict()
+    cases = {
+        "['v5'] only in the base": pres.base.induced(pres.base.vertices[:5]).to_json_dict(),
+        "[('v0', 'v2')] only in --in": {**base, "edges": base["edges"] + [["v0", "v2"]]},
+        # the same graph listed in another order is the base
+        "": {"vertices": base["vertices"][::-1], "edges": [e[::-1] for e in base["edges"]]},
+    }
+    for want, data in cases.items():
+        gf = tmp_path / "g.json"
+        gf.write_text(json.dumps(data))
+        for argv in (["verify-gd"], ["r-acyclic", "-r", "3"]):
+            code = main(argv + ["--in", str(gf), "--voltage", vf, "-L", "3"])
+            captured = capsys.readouterr()
+            if want:
+                assert code == 2 and captured.out == "" and want in captured.err
+            else:
+                assert code == 0 and captured.err == ""
 
 
 def test_key_error_is_not_an_input_error(tmp_path, monkeypatch):
@@ -95,9 +126,10 @@ def test_key_error_is_not_an_input_error(tmp_path, monkeypatch):
     [
         ("canonical-td", "--in", ktree(12, 3, seed=1).to_json_dict(), []),
         ("canonical-td", "--in", star(6).to_json_dict(), []),
+        ("maximal-td", "--in", star(6).to_json_dict(), []),
         ("fold", "--voltage", cycle_z_presentation(6).to_json_dict(), ["-L", "3"]),
     ],
-    ids=["canonical-td", "canonical-td-star6", "fold"],
+    ids=["canonical-td", "canonical-td-star6", "maximal-td-star6", "fold"],
 )
 def test_optimised_mode_prints_the_same_bytes(tmp_path, command, flag, data, extra):
     """`python -O` drops asserts; the output must not depend on them."""
@@ -137,6 +169,32 @@ def test_canonical_td_and_maximal_td(tmp_path, capsys):
     out = _json_out(capsys)
     assert out["into_maximal_cliques"]
     assert len(out["decomposition"]["nodes"]) == 3
+
+
+def test_maximal_td_searches_no_automorphisms(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        pytest.fail("maximal-td searched automorphisms or checked canonicity")
+
+    monkeypatch.setattr(cli, "automorphism_generators", refuse)
+    monkeypatch.setattr(cli, "verify_canonical_td", refuse)
+    assert main(["maximal-td", "--in", _write_graph(tmp_path, star(6)), "--json"]) == 0
+    assert _json_out(capsys)["into_maximal_cliques"]
+
+
+def test_canonical_td_classifies_the_tree_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.classify_td
+
+    def counted(g, td):
+        calls.append(td)
+        return real(g, td)
+
+    monkeypatch.setattr(cli, "classify_td", counted)
+    monkeypatch.setattr(symmetry, "classify_td", counted)
+    f = _write_graph(tmp_path, ktree(12, 3, seed=1))
+    assert main(["canonical-td", "--in", f, "--json"]) == 0
+    assert _json_out(capsys)["regular"]
+    assert len(calls) == 1
 
 
 def test_bottleneck_expansion_budget_is_an_input_error(tmp_path, capsys):

@@ -86,6 +86,17 @@ def test_unreferenced_private_definitions_are_found():
     assert unreferenced_private(sources) == [("a.py", "_orphan")]
 
 
+def test_no_assert_statements_in_src():
+    # python -O strips asserts; invariants raise typed errors instead
+    found = [
+        (module, node.lineno)
+        for module in sorted(p.name for p in PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_every_private_definition_is_used():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from cliquedec import separations
 from cliquedec.chordal import MaximalClique, is_chordal, maximal_cliques
 from cliquedec.covers import derive_window
-from cliquedec.errors import CliquesEqual, EmptySide, NotAClique, NotASeparation, NotChordal
+from cliquedec.errors import (
+    CliquesEqual,
+    EmptySide,
+    InvariantViolation,
+    NotAClique,
+    NotASeparation,
+    NotChordal,
+)
 from cliquedec.graph import Graph
 from cliquedec.instances import (
     cycle,
@@ -257,10 +264,9 @@ def test_beta_order_bound_and_tightness():
 
 def _beta_matches_explicit(g):
     for x, y in itertools.combinations(maximal_cliques(g), 2):
-        for nontight in (False, True):
-            want = explicit_beta(g, x, y, include_nontight=nontight)
-            assert beta(g, x, y, include_nontight=nontight).separations == want, (x, y)
-            assert beta(g, y, x, include_nontight=nontight).separations == want, (y, x)
+        want = explicit_beta(g, x, y)
+        assert beta(g, x, y).separations == want, (x, y)
+        assert beta(g, y, x).separations == want, (y, x)
 
 
 def test_beta_matches_explicit_suite1(suite1):
@@ -278,22 +284,28 @@ def test_beta_matches_explicit_random_chordal(seed, n):
     _beta_matches_explicit(random_chordal(n, seed))
 
 
-def test_construct_n_classifies_each_distinct_separation_once(suite1, monkeypatch):
+def test_construct_n_classifies_nothing(suite1, monkeypatch):
+    # bottleneck separations are tight by construction
     g = Graph.from_json_dict(suite1[0][0].to_json_dict())  # nothing cached yet
-    calls = []
-    real = separations.classify
 
-    def counted(g, s):
-        calls.append(s)
-        return real(g, s)
+    def refuse(g, s):
+        pytest.fail("beta classified a separation")
 
-    monkeypatch.setattr(separations, "classify", counted)
-    construct_N(g)
-    pairs = itertools.combinations(maximal_cliques(g), 2)
-    bottlenecks = [beta(g, x, y) for x, y in pairs]
-    distinct = {s for b in bottlenecks for s in b.separations}
-    assert sum(len(b.separations) for b in bottlenecks) > len(distinct)
-    assert len(calls) == len(set(calls)) == len(distinct)
+    monkeypatch.setattr(separations, "classify", refuse)
+    assert construct_N(g).union == suite1[0][1]["nested_set"].union
+
+
+def test_beta_rejects_a_separator_with_a_component_that_is_not_full(monkeypatch):
+    # K4 {1,2,3,4} and K4 {3,4,5,6} glued along {3,4}, plus 7 joined to 3:
+    # {3,4,7} separates the two K4s, but no vertex of {1,2} or {5,6} sees 7
+    edges = list(itertools.combinations("1234", 2)) + list(itertools.combinations("3456", 2))
+    g = Graph("1234567", edges + [("3", "7")])
+    x, y = MaximalClique(frozenset("1234")), MaximalClique(frozenset("3456"))
+    monkeypatch.setattr(
+        separations, "clique_min_separators", lambda g, x, y: [frozenset("347")]
+    )
+    with pytest.raises(InvariantViolation, match=r"\['3', '4', '7'\] is not tight"):
+        beta(g, x, y)
 
 
 def test_beta_shares_separation_objects():
