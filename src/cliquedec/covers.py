@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolated,
     WindowNotChordal,
 )
-from .graph import Graph
+from .graph import Graph, _json_list, _json_object, _json_pair
 from .nested import NestedSetLevels, construct_N
 from .separations import Separation
 from .treedec import (
@@ -144,23 +144,26 @@ class VoltagePresentation:
 
     @staticmethod
     def from_json_dict(data: dict) -> "VoltagePresentation":
-        unknown = set(data) - {"base", "tree_edges", "voltages"}
+        unknown = set(_json_object(data, "voltage JSON")) - {"base", "tree_edges", "voltages"}
         if unknown:
             raise ValueError(f"unknown fields in voltage JSON: {sorted(unknown)}")
         if "base" not in data:
             raise ValueError("voltage JSON lacks the field 'base'")
         base = Graph.from_json_dict(data["base"])
-        tree_edges = frozenset(frozenset(e) for e in data.get("tree_edges", []))
+        edges = _json_list(data.get("tree_edges", []), "voltage JSON 'tree_edges'")
+        tree_edges = frozenset(frozenset(_json_pair(e, "a voltage tree edge")) for e in edges)
         voltages = {}
-        for item in data.get("voltages", []):
-            extra = set(item) - {"edge", "word"}
+        for item in _json_list(data.get("voltages", []), "voltage JSON 'voltages'"):
+            extra = set(_json_object(item, "voltage entry")) - {"edge", "word"}
             if extra:
                 raise ValueError(f"unknown fields in voltage entry: {sorted(extra)}")
             missing = {"edge", "word"} - set(item)
             if missing:
                 raise ValueError(f"voltage entry lacks the fields {sorted(missing)}")
-            u, v = item["edge"]
-            voltages[(u, v)] = parse_word(item["word"])
+            word = item["word"]
+            if not isinstance(word, str):
+                raise ValueError(f"voltage entry 'word' must be a string, got {word!r}")
+            voltages[_json_pair(item["edge"], "voltage entry 'edge'")] = parse_word(word)
         return VoltagePresentation(base=base, tree_edges=tree_edges, voltages=voltages)
 
 

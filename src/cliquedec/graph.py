@@ -221,21 +221,43 @@ class Graph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Graph":
-        if not isinstance(data, dict):
-            raise ValueError("graph JSON must be an object")
-        unknown = set(data) - {"vertices", "edges"}
+        unknown = set(_json_object(data, "graph JSON")) - {"vertices", "edges"}
         if unknown:
             raise ValueError(f"unknown fields in graph JSON: {sorted(unknown)}")
-        vertices = data.get("vertices", [])
-        edges = data.get("edges", [])
-        if not all(isinstance(v, str) for v in vertices):
-            raise ValueError("vertices must be strings")
-        pairs = []
-        for e in edges:
-            if not (isinstance(e, list) and len(e) == 2):
-                raise ValueError(f"malformed edge {e!r}")
-            pairs.append((e[0], e[1]))
-        return Graph(vertices, pairs)
+        vertices = _json_strings(data.get("vertices", []), "graph JSON 'vertices'")
+        edges = _json_list(data.get("edges", []), "graph JSON 'edges'")
+        return Graph(vertices, [_json_pair(e, "a graph edge") for e in edges])
+
+
+# -- JSON input checks, shared by the readers of every input format ------
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _json_strings(value, what: str) -> list:
+    for v in _json_list(value, what):
+        if not isinstance(v, str):
+            raise ValueError(f"{what} must hold strings, got {v!r}")
+    return value
+
+
+def _json_pair(value, what: str) -> Tuple[str, str]:
+    """An edge: a list of two strings."""
+    if isinstance(value, list) and len(value) == 2:
+        u, v = value
+        if isinstance(u, str) and isinstance(v, str):
+            return u, v
+    raise ValueError(f"{what} must be a list of two strings, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,6 @@ class NestedSetLevels:
     levels: Dict[int, Set[Separation]] = field(default_factory=dict)
     union: Set[Separation] = field(default_factory=set)
 
-    def below(self, k: int) -> Set[Separation]:
-        out = set()
-        for j, seps in self.levels.items():
-            if j < k:
-                out |= seps
-        return out
-
 
 def crossing_count(s: Separation, pool: Sequence[Separation]) -> int:
     """Number of pool members that s crosses."""
@@ -75,13 +68,12 @@ def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> Ne
         level_bottlenecks = by_order[k]
         pool = sorted({s for b in level_bottlenecks for s in b.separations})
         xk = {s: crossing_count(s, pool) for s in pool}
-        lower = result.below(k)
         chosen_level: Set[Separation] = set()
         for b in level_bottlenecks:
             candidates = [
                 s
                 for s in b.separations
-                if all(relate(s, t) == NESTED for t in lower)
+                if all(relate(s, t) == NESTED for t in result.union)  # lower levels
             ]
             if not candidates:
                 raise EmptyBottleneckSelection(
@@ -95,9 +87,6 @@ def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> Ne
             for t in chosen_sorted[i + 1 :]:
                 if relate(s, t) == CROSSING:
                     raise NestednessViolation(f"{s} crosses {t} within level {k}")
-            for t in lower:
-                if relate(s, t) == CROSSING:
-                    raise NestednessViolation(f"{s} crosses lower-level {t}")
         result.levels[k] = chosen_level
         result.union |= chosen_level
     return result

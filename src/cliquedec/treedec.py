@@ -1,9 +1,9 @@
 """Tree-decompositions: validation, induced separations, construction from a
 nested separation set, classification, and contraction to maximal cliques.
 
-The tree of a nested proper separation set is built intrinsically: nodes
-are equivalence classes of oriented separations, so the output depends
-only on the set, not on any processing order.
+The tree of a nested proper separation set is built intrinsically: its
+nodes are the stars of the set's oriented separations, so the output
+depends only on the set, not on any processing order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     OrbitNotMatching,
     PreconditionViolated,
 )
-from .graph import Graph
+from .graph import Graph, _json_list, _json_object, _json_pair, _json_strings
 from .separations import CROSSING, Separation, classify, relate
 
 
@@ -42,22 +42,23 @@ class TreeDecomposition:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TreeDecomposition":
-        unknown = set(data) - {"nodes", "edges"}
+        unknown = set(_json_object(data, "tree-decomposition JSON")) - {"nodes", "edges"}
         if unknown:
             raise ValueError(f"unknown fields in tree-decomposition JSON: {sorted(unknown)}")
         bags = {}
-        ids = []
-        for node in data.get("nodes", []):
-            extra = set(node) - {"id", "bag"}
+        for node in _json_list(data.get("nodes", []), "tree-decomposition JSON 'nodes'"):
+            extra = set(_json_object(node, "node JSON")) - {"id", "bag"}
             if extra:
                 raise ValueError(f"unknown fields in node JSON: {sorted(extra)}")
             missing = {"id", "bag"} - set(node)
             if missing:
                 raise ValueError(f"node JSON lacks the fields {sorted(missing)}")
-            ids.append(node["id"])
-            bags[node["id"]] = frozenset(node["bag"])
-        edges = [(e[0], e[1]) for e in data.get("edges", [])]
-        return TreeDecomposition(tree=Graph(ids, edges), bags=bags)
+            if not isinstance(node["id"], str):
+                raise ValueError(f"node JSON 'id' must be a string, got {node['id']!r}")
+            bags[node["id"]] = frozenset(_json_strings(node["bag"], "node JSON 'bag'"))
+        edges = _json_list(data.get("edges", []), "tree-decomposition JSON 'edges'")
+        pairs = [_json_pair(e, "a tree-decomposition edge") for e in edges]
+        return TreeDecomposition(tree=Graph(list(bags), pairs), bags=bags)
 
     def to_dot(self) -> str:
         return _to_dot("treedec", self.tree, self.bags)
@@ -165,10 +166,10 @@ def _tree_side(tree: Graph, t1: str, t2: str) -> Set[str]:
 def build_td_from_nested(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
     """Tree-decomposition whose induced separations are exactly n.
 
-    Nodes are equivalence classes of oriented separations: (A,B) and (C,D)
-    point at the same node iff (A,B) <= (D,C) with nothing strictly in
-    between.  The bag of a node is the intersection of the sides pointing
-    at it.  The edge-to-separation bijection is verified before returning.
+    Each node is a star of the nested set: an oriented separation (A,B)
+    with the inverses of the minimal oriented separations strictly above
+    it.  The bag of a node is the intersection of the B-sides of its star.
+    The edge-to-separation bijection is verified before returning.
     """
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
@@ -186,70 +187,33 @@ def build_td_from_nested(g: Graph, n: Iterable[Separation]) -> TreeDecomposition
             tree=Graph(["t0"]), bags={"t0": frozenset(g.vertices)}
         )
 
-    oriented: List[Tuple[FrozenSet[str], FrozenSet[str]]] = []
-    for s in seps:
-        oriented.extend(s.orientations())
+    oriented = [p for s in seps for p in s.orientations()]
 
     def leq(p, q):
         return p[0] <= q[0] and p[1] >= q[1]
 
-    def rev(p):
-        return (p[1], p[0])
-
-    def immediate(p, q):
-        """p <= q with no oriented separation strictly between."""
-        if not leq(p, q):
-            return False
-        for r in oriented:
-            if r != p and r != q and leq(p, r) and leq(r, q):
-                return False
-        return True
-
-    # p ~ q  iff  p = q, or p <= rev(q) immediately (and p is not rev(q))
-    parent = {p: p for p in oriented}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rp] = rq
-
-    for i, p in enumerate(oriented):
-        for q in oriented[i + 1 :]:
-            if p != rev(q) and immediate(p, rev(q)):
-                union(p, q)
-
-    classes: Dict[Tuple, List[Tuple]] = {}
+    # every oriented separation comes after all those strictly below it
+    ascending = sorted(oriented, key=lambda p: (len(p[0]), -len(p[1])))
+    node_of = {}
     for p in oriented:
-        classes.setdefault(find(p), []).append(p)
+        minimal: List[Tuple[FrozenSet[str], FrozenSet[str]]] = []
+        for r in ascending:
+            if r != p and leq(p, r) and not any(leq(q, r) for q in minimal):
+                minimal.append(r)
+        node_of[p] = frozenset([p, *((b, a) for a, b in minimal)])
 
-    node_of = {p: find(p) for p in oriented}
-    reps = sorted(classes, key=lambda r: (tuple(sorted(r[0])), tuple(sorted(r[1]))))
-    names = {rep: f"t{i}" for i, rep in enumerate(reps)}
+    # each node keeps its last member in `oriented`, whose sides order the names
+    rep = {x: p for p, x in node_of.items()}
+    nodes = sorted(rep, key=lambda x: (tuple(sorted(rep[x][0])), tuple(sorted(rep[x][1]))))
+    names = {x: f"t{i}" for i, x in enumerate(nodes)}
+    bags = {names[x]: frozenset.intersection(*(b for _, b in x)) for x in nodes}
 
-    bags = {}
-    for rep in reps:
-        # everything pointing at this node: the down-closure of the class
-        members = classes[rep]
-        pointing = [p for p in oriented if any(leq(p, q) for q in members)]
-        bag = frozenset(g.vertices)
-        for p in pointing:
-            bag &= p[1]
-        bags[names[rep]] = bag
+    # p = (A,B) points at the node on its B-side; s joins the nodes of p and q
+    edges = [
+        (names[node_of[q]], names[node_of[p]]) for p, q in map(Separation.orientations, seps)
+    ]
 
-    edges = []
-    for s in seps:
-        p, q = s.orientations()
-        edges.append((names[node_of[q]], names[node_of[p]]))
-        # p = (A,B) points at the node on the B-side, i.e. class(p)'s bag
-        # lies in B; the edge for s joins class(p) and class(rev(p))
-
-    td = TreeDecomposition(tree=Graph([names[r] for r in reps], edges), bags=bags)
+    td = TreeDecomposition(tree=Graph([names[x] for x in nodes], edges), bags=bags)
     _check_tree(td.tree)
     if not verify_td(g, td)["ok"]:
         raise InvariantViolation("constructed decomposition failed verify_td")
@@ -283,7 +247,7 @@ def clique_in_bag(g: Graph, td: TreeDecomposition, k: Iterable[str]) -> str:
     for t in td.tree.vertices:
         if kf <= td.bags[t]:
             return t
-    raise AssertionError("no bag contains the clique; decomposition invalid")
+    raise InvariantViolation("no bag contains the clique; decomposition invalid")
 
 
 # -- contraction to maximal cliques -------------------------------------

@@ -1,11 +1,13 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with three exceptions: `flow_min_separators` builds on the package's
+with four exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
-and `classify`, which the separation tests check on their own, and
-`all_images_automorphisms` on the colour refinement `_refine_colors`.
+and `classify`, which the separation tests check on their own,
+`all_images_automorphisms` on the colour refinement `_refine_colors`, and
+`closure_build_td` on the validation and post-checks of the tree
+builder it is compared against.
 Values produced by these functions are compared against the package's
 own algorithms.
 """
@@ -13,20 +15,34 @@ own algorithms.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from cliquedec.chordal import MaximalClique
+from cliquedec.errors import (
+    ImproperSeparation,
+    InvariantViolation,
+    NotNested,
+    PreconditionViolated,
+)
 from cliquedec.graph import Graph
 from cliquedec.separations import (
+    CROSSING,
     Separation,
     _VertexFlow,
     classify,
     clique_min_separators,
+    relate,
     separation_from_separator,
 )
 from cliquedec.symmetry import _refine_colors
+from cliquedec.treedec import (
+    TreeDecomposition,
+    _check_tree,
+    induced_separation,
+    verify_td,
+)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -107,7 +123,8 @@ def flow_min_separators(g: Graph, x: Sequence[str], y: Sequence[str]) -> List[Fr
         for j in csucc[i]:
             cpred[j].add(i)
     anc_t = _closure({ct}, cpred)
-    assert not (reach_s & anc_t)
+    if reach_s & anc_t:
+        raise AssertionError("t is reachable from s in the residual graph: flow not maximum")
     # components whose successor-closure would drag t in can never be chosen
     blocked = _closure(anc_t, cpred)
     free = [i for i in range(m) if i not in reach_s and i not in blocked]
@@ -140,7 +157,8 @@ def flow_min_separators(g: Graph, x: Sequence[str], y: Sequence[str]) -> List[Fr
 
     rec(0, set())
     out = [s for s in cuts if len(s) == k]
-    assert out, "max-flow min cut lost during enumeration"
+    if not out:
+        raise AssertionError("max-flow min cut lost during enumeration")
     return sorted(out, key=lambda s: tuple(g.key(v) for v in g.sorted(s)))
 
 
@@ -336,7 +354,8 @@ def all_images_automorphisms(g: Graph) -> Tuple[List[Dict[str, str]], List[List[
                     generators.append(res)
         levels.append(images)
     for phi in generators:
-        assert pairwise_is_automorphism(g, phi)
+        if not pairwise_is_automorphism(g, phi):
+            raise AssertionError(f"generator {phi} is not an automorphism")
     return generators, levels
 
 
@@ -438,3 +457,108 @@ def _invariant(h: nx.Graph):
     degs = tuple(sorted(d for _, d in h.degree()))
     tri = tuple(sorted(nx.triangles(h).values()))
     return (h.number_of_nodes(), h.number_of_edges(), degs, tri)
+
+
+def closure_build_td(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
+    """Tree-decomposition whose induced separations are exactly n, built
+    by closure: the tree builder as it was before the star rule.
+
+    Nodes are equivalence classes of oriented separations: (A,B) and (C,D)
+    point at the same node iff (A,B) <= (D,C) with nothing strictly in
+    between.  The bag of a node is the intersection of the sides pointing
+    at it.  The edge-to-separation bijection is verified before returning.
+
+    Every pair of oriented separations is tested against every third one
+    (O(m^3)), the results are merged with a union-find, and each bag is
+    intersected over the down-closure of its class.  From the package it
+    uses `classify`, `relate` and `CROSSING` for the validation, and
+    `_check_tree`, `verify_td`, `induced_separation` and
+    `TreeDecomposition` for the post-checks and the result.
+    """
+    if not g.is_connected():
+        raise PreconditionViolated("graph must be connected")
+    seps = sorted(set(n))
+    for i, s in enumerate(seps):
+        cl = classify(g, s)
+        if not cl.proper:
+            raise ImproperSeparation(f"{s} is improper")
+        for t in seps[i + 1 :]:
+            if relate(s, t) == CROSSING:
+                raise NotNested(f"{s} crosses {t}")
+
+    if not seps:
+        return TreeDecomposition(
+            tree=Graph(["t0"]), bags={"t0": frozenset(g.vertices)}
+        )
+
+    oriented: List[Tuple[FrozenSet[str], FrozenSet[str]]] = []
+    for s in seps:
+        oriented.extend(s.orientations())
+
+    def leq(p, q):
+        return p[0] <= q[0] and p[1] >= q[1]
+
+    def rev(p):
+        return (p[1], p[0])
+
+    def immediate(p, q):
+        """p <= q with no oriented separation strictly between."""
+        if not leq(p, q):
+            return False
+        for r in oriented:
+            if r != p and r != q and leq(p, r) and leq(r, q):
+                return False
+        return True
+
+    # p ~ q  iff  p = q, or p <= rev(q) immediately (and p is not rev(q))
+    parent = {p: p for p in oriented}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    def union(p, q):
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            parent[rp] = rq
+
+    for i, p in enumerate(oriented):
+        for q in oriented[i + 1 :]:
+            if p != rev(q) and immediate(p, rev(q)):
+                union(p, q)
+
+    classes: Dict[Tuple, List[Tuple]] = {}
+    for p in oriented:
+        classes.setdefault(find(p), []).append(p)
+
+    node_of = {p: find(p) for p in oriented}
+    reps = sorted(classes, key=lambda r: (tuple(sorted(r[0])), tuple(sorted(r[1]))))
+    names = {rep: f"t{i}" for i, rep in enumerate(reps)}
+
+    bags = {}
+    for rep in reps:
+        # everything pointing at this node: the down-closure of the class
+        members = classes[rep]
+        pointing = [p for p in oriented if any(leq(p, q) for q in members)]
+        bag = frozenset(g.vertices)
+        for p in pointing:
+            bag &= p[1]
+        bags[names[rep]] = bag
+
+    edges = []
+    for s in seps:
+        p, q = s.orientations()
+        edges.append((names[node_of[q]], names[node_of[p]]))
+        # p = (A,B) points at the node on the B-side, i.e. class(p)'s bag
+        # lies in B; the edge for s joins class(p) and class(rev(p))
+
+    td = TreeDecomposition(tree=Graph([names[r] for r in reps], edges), bags=bags)
+    _check_tree(td.tree)
+    if not verify_td(g, td)["ok"]:
+        raise InvariantViolation("constructed decomposition failed verify_td")
+    induced = {induced_separation(g, td, e) for e in td.tree.edges()}
+    if induced != set(seps):
+        raise InvariantViolation("tree edges do not biject onto the separations")
+    return td

@@ -112,6 +112,37 @@ def test_verify_gd_and_r_acyclic_need_the_base_graph(tmp_path, capsys):
                 assert code == 0 and captured.err == ""
 
 
+_TD_NODE = {"id": "t0", "bag": ["v0", "v1", "v2"]}
+_PRES = cycle_z_presentation(6).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "command, data, field",
+    [
+        ("verify-td", {"nodes": [_TD_NODE], "edges": [["t0"]]}, "tree-decomposition edge"),
+        ("verify-td", {"nodes": [{"id": "t0", "bag": 5}], "edges": []}, "'bag'"),
+        ("verify-td", {"nodes": [{"id": 3, "bag": ["v0"]}], "edges": []}, "'id'"),
+        ("verify-td", [_TD_NODE], "tree-decomposition JSON must be an object"),
+        ("fold", {**_PRES, "voltages": [{**_PRES["voltages"][0], "word": 7}]}, "'word'"),
+        ("check-chordal", {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, "graph edge"),
+        ("check-chordal", {"vertices": [], "edges": [[1, 2]]}, "graph edge"),
+        ("check-chordal", {"vertices": "abc", "edges": []}, "'vertices'"),
+    ],
+    ids=["td-edge", "td-bag", "td-id", "td-list", "word", "edge-list", "edge-ints", "vertices"],
+)
+def test_malformed_json_is_an_input_error(tmp_path, capsys, command, data, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = {
+        "verify-td": ["--in", _write_graph(tmp_path, cycle(3)), "--td", str(bad)],
+        "fold": ["--voltage", str(bad), "-L", "3"],
+        "check-chordal": ["--in", str(bad)],
+    }[command]
+    assert main([command] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err
+
+
 def test_key_error_is_not_an_input_error(tmp_path, monkeypatch):
     def broken(args):
         raise KeyError("bug")

@@ -86,13 +86,31 @@ def test_unreferenced_private_definitions_are_found():
     assert unreferenced_private(sources) == [("a.py", "_orphan")]
 
 
+def untyped_invariants(source: str) -> list:
+    """Lines of assert statements and of raises of a bare AssertionError."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        exc = getattr(node, "exc", None)
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        raises_it = isinstance(exc, ast.Name) and exc.id == "AssertionError"
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and raises_it):
+            found.append(node.lineno)
+    return found
+
+
+def test_untyped_invariants_are_found():
+    source = "assert x\nraise AssertionError('no')\nraise AssertionError\nraise ValueError()\n"
+    assert untyped_invariants(source) == [1, 2, 3]
+
+
 def test_no_assert_statements_in_src():
-    # python -O strips asserts; invariants raise typed errors instead
+    # python -O strips asserts, and a bare AssertionError names no invariant:
+    # invariants raise typed errors instead
     found = [
-        (module, node.lineno)
+        (module, line)
         for module in sorted(p.name for p in PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
-        if isinstance(node, ast.Assert)
+        for line in untyped_invariants((PACKAGE / module).read_text())
     ]
     assert found == []
 

@@ -1,6 +1,8 @@
 """Tree-decompositions: validation, construction, classification, contraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquedec import treedec
 from cliquedec.chordal import maximal_cliques
@@ -12,8 +14,18 @@ from cliquedec.errors import (
     NotNested,
     PreconditionViolated,
 )
+from cliquedec.covers import fold_pipeline
 from cliquedec.graph import Graph
-from cliquedec.instances import complete, cycle, path, random_chordal, star, two_triangles
+from cliquedec.instances import (
+    complete,
+    cycle,
+    cycle_z_presentation,
+    ktree,
+    path,
+    random_chordal,
+    star,
+    two_triangles,
+)
 from cliquedec.nested import construct_N
 from cliquedec.separations import Separation
 from cliquedec.treedec import (
@@ -27,7 +39,7 @@ from cliquedec.treedec import (
     verify_td,
 )
 
-from oracles import nx_chordal_cliques
+from oracles import closure_build_td, nx_chordal_cliques
 
 
 def _td(tree_edges, bags, isolated=()):
@@ -110,6 +122,46 @@ def test_build_td_examples():
     g = complete(4)
     td = build_td_from_nested(g, set())
     assert len(td.tree) == 1 and set(td.bags.values()) == {frozenset(g.vertices)}
+
+
+def _same_as_closure(g, seps, td=None):
+    """The star-rule tree equals the closure oracle's: node names, bags, edges."""
+    td = build_td_from_nested(g, seps) if td is None else td
+    oracle = closure_build_td(g, seps)
+    assert td.tree.vertices == oracle.tree.vertices
+    assert td.to_json_dict() == oracle.to_json_dict()
+
+
+def test_build_td_matches_closure_on_suite1(suite1):
+    for g, res in suite1:
+        _same_as_closure(g, res["nested_set"].union, res["td"])
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_build_td_matches_closure_on_stars(t):
+    g = star(t)
+    _same_as_closure(g, construct_N(g).union)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [20, 25, 30, 35, 40])
+def test_build_td_matches_closure_on_ktrees(n, k):
+    g = ktree(n, k, seed=n + k)
+    _same_as_closure(g, construct_N(g).union)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 40))
+def test_build_td_matches_closure_on_random_chordal(seed, n):
+    g = random_chordal(n, seed)
+    _same_as_closure(g, construct_N(g).union)
+
+
+def test_build_td_matches_closure_on_c6_windows(c6z_artifacts):
+    res = fold_pipeline(cycle_z_presentation(6), 4)
+    _same_as_closure(res.window.window, res.nested.union, res.td)
+    _, win, nested, td = c6z_artifacts
+    _same_as_closure(win.window, nested.union, td)
 
 
 def test_build_td_rejects_bad_input():
