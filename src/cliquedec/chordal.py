@@ -10,6 +10,7 @@ its edge labels are the minimal separators.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -64,30 +65,41 @@ class CliqueTree:
 
 
 def mcs_order(g: Graph) -> List[str]:
-    """Maximum-cardinality search order; its reverse is a PEO iff g is chordal."""
-    weight = {v: 0 for v in g.vertices}
+    """Maximum-cardinality search order; its reverse is a PEO iff g is chordal.
+
+    Highest weight first, ties to the canonical order, from a heap with lazy
+    deletion: O((n + m) log n) (Tarjan & Yannakakis, SIAM J. Comput. 1984).
+    """
+    weight = dict.fromkeys(g.vertices, 0)
+    heap = [(0, i, v) for i, v in enumerate(g.vertices)]  # already a heap
     visited = []
-    unvisited = set(g.vertices)
-    while unvisited:
-        v = max(g.sorted(unvisited), key=lambda u: weight[u])
-        # max() keeps the first maximum, so ties go to the canonical order
+    while heap:
+        w, _, v = heapq.heappop(heap)
+        if -w != weight[v]:
+            continue  # v was visited (None), or its weight has since risen
+        weight[v] = None
         visited.append(v)
-        unvisited.discard(v)
-        for w in g.neighbors(v):
-            if w in unvisited:
-                weight[w] += 1
+        for u in g.neighbors(v):
+            if weight[u] is not None:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], g.key(u), u))
     return visited
 
 
 def _verify_peo(g: Graph, order: List[str]) -> Optional[Tuple[str, str, str]]:
-    """Return (v, u, w) with u, w nonadjacent later neighbors of v, or None."""
+    """Return (v, p, w) with p, w nonadjacent later neighbours of v, or None.
+
+    The parent test, O(n + m): the order is a PEO iff every later neighbour
+    of each v is adjacent to p, the earliest (Rose, Tarjan & Lueker, 1976).
+    """
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
-        later = g.sorted(u for u in g.neighbors(v) if pos[u] > pos[v])
-        for i, u in enumerate(later):
-            for w in later[i + 1 :]:
-                if not g.has_edge(u, w):
-                    return (v, u, w)
+        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
+        if later:
+            p = min(later, key=pos.__getitem__)
+            for w in later:
+                if w != p and not g.has_edge(p, w):
+                    return (v, p, w)
     return None
 
 

@@ -40,6 +40,8 @@ class Graph:
                 raise LoopEdge(f"loop at {u!r}")
             for w in (u, v):
                 if w not in index:
+                    if not isinstance(w, str):
+                        raise TypeError(f"vertex identifiers must be strings, got {w!r}")
                     index[w] = len(vs)
                     vs.append(w)
                     adj[w] = set()
@@ -121,7 +123,7 @@ class Graph:
         for v in keep:
             if v not in self._index:
                 raise UnknownVertex(f"unknown vertex {v!r}")
-        order = [v for v in self._vertices if v in keep]
+        order = sorted(keep, key=self._index.__getitem__)
         edges = [
             (u, v)
             for u in order
@@ -136,14 +138,16 @@ class Graph:
 
     # -- metric and components ------------------------------------------
 
-    def distances_from(self, v: str) -> Dict[str, int]:
-        """BFS distances from v to every vertex in its component."""
+    def distances_from(self, v: str, radius: float = INFINITY) -> Dict[str, int]:
+        """BFS distances from v to every vertex of its component within radius."""
         if v not in self._index:
             raise UnknownVertex(f"unknown vertex {v!r}")
         dist = {v: 0}
         queue = deque([v])
         while queue:
             u = queue.popleft()
+            if dist[u] >= radius:
+                break  # BFS pops in distance order, so every later u is as far
             for w in self._adj[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
@@ -209,10 +213,8 @@ class Graph:
         """
         if radius2 < 0:
             raise ValueError("radius2 must be nonnegative")
-        k = radius2 // 2
-        dist = self.distances_from(v)
-        vs = [u for u in self._vertices if dist.get(u, INFINITY) <= k]
-        return Ball(center=v, radius2=radius2, subgraph=self.induced(vs))
+        dist = self.distances_from(v, radius2 // 2)
+        return Ball(center=v, radius2=radius2, subgraph=self.induced(dist))
 
     # -- serialization --------------------------------------------------
 

@@ -7,7 +7,10 @@ with four exceptions: `flow_min_separators` builds on the package's
 and `classify`, which the separation tests check on their own,
 `all_images_automorphisms` on the colour refinement `_refine_colors`, and
 `closure_build_td` on the validation and post-checks of the tree
-builder it is compared against.
+builder it is compared against.  `quadratic_mcs_order`,
+`pairwise_verify_peo` and `full_bfs_ball` are the chordality kernels as
+they were before the heap, the parent test and the bounded BFS; they use
+only the Graph type, its `Ball` record and the unbounded `distances_from`.
 Values produced by these functions are compared against the package's
 own algorithms.
 """
@@ -26,7 +29,7 @@ from cliquedec.errors import (
     NotNested,
     PreconditionViolated,
 )
-from cliquedec.graph import Graph
+from cliquedec.graph import INFINITY, Ball, Graph
 from cliquedec.separations import (
     CROSSING,
     Separation,
@@ -562,3 +565,61 @@ def closure_build_td(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
     if induced != set(seps):
         raise InvariantViolation("tree edges do not biject onto the separations")
     return td
+
+
+def quadratic_mcs_order(g: Graph) -> List[str]:
+    """Maximum-cardinality search order; its reverse is a PEO iff g is chordal.
+
+    Re-sorts every unvisited vertex at every step: O(n^2 log n).
+    """
+    weight = {v: 0 for v in g.vertices}
+    visited = []
+    unvisited = set(g.vertices)
+    while unvisited:
+        v = max(g.sorted(unvisited), key=lambda u: weight[u])
+        # max() keeps the first maximum, so ties go to the canonical order
+        visited.append(v)
+        unvisited.discard(v)
+        for w in g.neighbors(v):
+            if w in unvisited:
+                weight[w] += 1
+    return visited
+
+
+def pairwise_verify_peo(g: Graph, order: List[str]) -> Optional[Tuple[str, str, str]]:
+    """Return (v, u, w) with u, w nonadjacent later neighbors of v, or None.
+
+    Tests every pair of later neighbours of every vertex.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = g.sorted(u for u in g.neighbors(v) if pos[u] > pos[v])
+        for i, u in enumerate(later):
+            for w in later[i + 1 :]:
+                if not g.has_edge(u, w):
+                    return (v, u, w)
+    return None
+
+
+def full_bfs_ball(g: Graph, v: str, radius2: int) -> Ball:
+    """Ball of radius radius2/2 around v, from an unbounded BFS over v's
+    component and a scan of every host vertex."""
+    if radius2 < 0:
+        raise ValueError("radius2 must be nonnegative")
+    k = radius2 // 2
+    dist = g.distances_from(v)
+    vs = [u for u in g.vertices if dist.get(u, INFINITY) <= k]
+    return Ball(center=v, radius2=radius2, subgraph=_scan_induced(g, vs))
+
+
+def _scan_induced(g: Graph, vs: Iterable[str]) -> Graph:
+    """Induced subgraph, ordered by a scan of the host's vertices."""
+    keep = set(vs)
+    order = [v for v in g.vertices if v in keep]
+    edges = [
+        (u, v)
+        for u in order
+        for v in g.neighbors(u)
+        if v in keep and g.key(u) < g.key(v)
+    ]
+    return Graph(order, edges)

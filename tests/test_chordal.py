@@ -13,14 +13,26 @@ from cliquedec.chordal import (
     is_r_chordal,
     is_r_locally_chordal,
     maximal_cliques,
+    mcs_order,
     minimal_separators,
     perfect_elimination_ordering,
+    _verify_peo,
 )
 from cliquedec.errors import NotChordal
 from cliquedec.graph import Graph
-from cliquedec.instances import complete, cycle, path, random_chordal, star, two_triangles, wheel
+from cliquedec.instances import (
+    complete, cycle, ktree, path, random_chordal, star, two_triangles, wheel,
+)
 
-from oracles import brute_minimal_separators, nx_is_chordal, nx_maximal_cliques, random_graph
+from oracles import (
+    brute_minimal_separators,
+    full_bfs_ball,
+    nx_is_chordal,
+    nx_maximal_cliques,
+    pairwise_verify_peo,
+    quadratic_mcs_order,
+    random_graph,
+)
 
 
 def _is_hole(g, cycle_vertices):
@@ -192,3 +204,44 @@ def test_r_validation():
         is_r_chordal(cycle(5), 2)
     with pytest.raises(ValueError):
         is_r_locally_chordal(cycle(5), 2)
+
+
+def _search_instances(suite1, suite2):
+    """suite1, suite2 (non-chordal and disconnected graphs included),
+    k-trees and stars."""
+    yield from (g for g, _ in suite1)
+    yield from suite2
+    for n in range(20, 41, 5):
+        for k in (2, 3):
+            yield ktree(n, k, seed=n + k)
+    for t in range(2, 9):
+        yield star(t)
+
+
+def test_mcs_order_matches_quadratic_oracle(suite1, suite2):
+    for g in _search_instances(suite1, suite2):
+        assert mcs_order(g) == quadratic_mcs_order(g), g
+
+
+def test_peo_verdict_matches_pairwise_oracle(suite1, suite2):
+    for g in _search_instances(suite1, suite2):
+        order = mcs_order(g)[::-1]
+        assert (_verify_peo(g, order) is None) == (pairwise_verify_peo(g, order) is None)
+    for i, g in enumerate(suite2):
+        rng = random.Random(i)
+        for _ in range(5):
+            order = rng.sample(g.vertices, len(g))
+            assert (_verify_peo(g, order) is None) == (pairwise_verify_peo(g, order) is None)
+
+
+def test_r_locally_chordal_matches_full_bfs_oracle(suite2):
+    def oracle(g, r):
+        for v in g.vertices:
+            ok, cert = is_chordal(full_bfs_ball(g, v, r).subgraph)
+            if not ok:
+                return False, (v, cert)
+        return True, None
+
+    for g in suite2:
+        for r in range(3, 7):
+            assert is_r_locally_chordal(g, r) == oracle(g, r)

@@ -159,8 +159,13 @@ def test_key_error_is_not_an_input_error(tmp_path, monkeypatch):
         ("canonical-td", "--in", star(6).to_json_dict(), []),
         ("maximal-td", "--in", star(6).to_json_dict(), []),
         ("fold", "--voltage", cycle_z_presentation(6).to_json_dict(), ["-L", "3"]),
+        ("check-chordal", "--in", ktree(30, 3).to_json_dict(), []),
+        ("local-chordal", "--in", cycle(8).to_json_dict(), ["-r", "4"]),
     ],
-    ids=["canonical-td", "canonical-td-star6", "maximal-td-star6", "fold"],
+    ids=[
+        "canonical-td", "canonical-td-star6", "maximal-td-star6", "fold",
+        "check-chordal-ktree30", "local-chordal-c8",
+    ],
 )
 def test_optimised_mode_prints_the_same_bytes(tmp_path, command, flag, data, extra):
     """`python -O` drops asserts; the output must not depend on them."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cliquedec.errors import LoopEdge, UnknownVertex
 from cliquedec.graph import INFINITY, Graph, from_edge_list
 
-from oracles import random_graph
+from oracles import full_bfs_ball, random_graph
 
 
 def test_vertex_order_is_insertion_order():
@@ -24,6 +24,10 @@ def test_loop_rejected():
         Graph([], [("x", "x")])
     with pytest.raises(LoopEdge):
         from_edge_list([("x", "x")])
+    with pytest.raises(TypeError):
+        Graph([1])
+    with pytest.raises(TypeError):
+        Graph("ab", [("a", 1)])
 
 
 def test_unknown_vertex():
@@ -32,6 +36,8 @@ def test_unknown_vertex():
         g.neighbors("z")
     with pytest.raises(UnknownVertex):
         g.induced(["a", "z"])
+    with pytest.raises(UnknownVertex):
+        g.ball("z", 2)
 
 
 def test_edges_deduplicated_and_sorted():
@@ -76,6 +82,17 @@ def test_ball_both_parities_are_induced():
     assert set(b3.subgraph.vertices) == {"a", "b", "f"}
     assert b3.subgraph.edges() == g.induced({"a", "b", "f"}).edges()
     assert set(g.ball("a", 4).subgraph.vertices) == {"a", "b", "c", "e", "f"}
+    with pytest.raises(ValueError):
+        g.ball("a", -1)
+
+
+def test_ball_matches_full_bfs_oracle(suite2):
+    for g in suite2:
+        for v in g.vertices:
+            for radius2 in range(7):
+                b = g.ball(v, radius2).subgraph
+                o = full_bfs_ball(g, v, radius2).subgraph
+                assert (b.vertices, b.edges()) == (o.vertices, o.edges())
 
 
 def test_json_roundtrip_and_unknown_fields():
