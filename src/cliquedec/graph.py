@@ -52,7 +52,7 @@ class Graph:
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
         self._component_cache: Dict[FrozenSet[str], list] = {}
         self._clique_tree = None  # set by chordal.clique_tree
-        self._bottleneck_cache: Dict[FrozenSet[str], tuple] = {}  # see separations.beta
+        self._bottleneck_cache: Dict[FrozenSet[str], tuple] = {}  # separations.bottleneck_part
 
     # -- basics ---------------------------------------------------------
 

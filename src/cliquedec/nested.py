@@ -1,17 +1,18 @@
 """Level-by-level extraction of the canonical nested separation set.
 
 From the family of all clique-pair bottlenecks, separations are selected
-order by order: within each bottleneck of the current order, keep the
-members nested with everything chosen at lower orders and, among those,
-the ones crossing the fewest separations of the current order's pool.
+order by order: within each bottleneck part of the current order, keep
+the members nested with everything chosen at lower orders and, among
+those, the ones crossing the fewest separations of the current order's pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from itertools import combinations
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .chordal import maximal_cliques
+from .chordal import clique_tree, maximal_cliques
 from .errors import (
     EmptyBottleneckSelection,
     NestednessViolation,
@@ -23,7 +24,7 @@ from .separations import (
     NESTED,
     Bottleneck,
     Separation,
-    beta,
+    bottleneck_part,
     classify,
     min_clique_separator,
     relate,
@@ -46,47 +47,50 @@ def crossing_count(s: Separation, pool: Sequence[Separation]) -> int:
 def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> NestedSetLevels:
     """Extract the canonical nested set from all clique-pair bottlenecks.
 
-    Bottlenecks may be supplied (e.g. orbit-restricted ones on windows);
-    by default all pairs of maximal cliques are used.
+    A pair's bottleneck is the union of its parts (`bottleneck_part`), one
+    per minimum separator S, so its selection is the union of the filtered
+    argmins of the parts that reach its minimum.  Each part (S, C1, C2) of
+    full components of G - S is the whole bottleneck of some pair: C1 has a
+    vertex v1 adjacent to all of S (take v in C1 with the most neighbours
+    in S; if v missed s in S, the last vertex before s on a shortest v-s
+    path through C1 would, by chordality, see N(v) & S and s), so maximal
+    cliques X >= S + v1 and Y >= S + v2 meet in S, their one minimum separator.
+    Hence the selection runs once per part, over the distinct clique-tree
+    labels in node order.  Supplied bottlenecks are each taken as one part.
     """
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
+    by_order: Dict[int, List[Tuple[Separation, ...]]] = {}  # the parts of each order
     if bottlenecks is None:
-        cliques = maximal_cliques(g)
-        bottlenecks = [
-            beta(g, cliques[i], cliques[j], check=False)
-            for i in range(len(cliques))
-            for j in range(i + 1, len(cliques))
-        ]
-
-    by_order: Dict[int, List[Bottleneck]] = {}
-    for b in bottlenecks:
-        by_order.setdefault(b.order, []).append(b)
+        labels = dict.fromkeys(clique_tree(g).label)
+        labels.pop(frozenset(), None)  # the root's
+        for sep in labels:
+            # a vertex of each full component of G - sep
+            reps = [next(iter(comp)) for comp, full in g.components_after_deletion(sep) if full]
+            for u, v in combinations(reps, 2):
+                by_order.setdefault(len(sep), []).append(bottleneck_part(g, sep, u, v))
+    else:
+        for b in bottlenecks:
+            by_order.setdefault(b.order, []).append(b.separations)
 
     result = NestedSetLevels()
     for k in sorted(by_order):
-        level_bottlenecks = by_order[k]
-        pool = sorted({s for b in level_bottlenecks for s in b.separations})
+        pool = sorted({s for seps in by_order[k] for s in seps})
         xk = {s: crossing_count(s, pool) for s in pool}
+        # nested with everything chosen at the lower levels
+        allowed = {s for s in pool if all(relate(s, t) == NESTED for t in result.union)}
         chosen_level: Set[Separation] = set()
-        for b in level_bottlenecks:
-            candidates = [
-                s
-                for s in b.separations
-                if all(relate(s, t) == NESTED for t in result.union)  # lower levels
-            ]
+        for seps in by_order[k]:
+            candidates = [s for s in seps if s in allowed]
             if not candidates:
-                raise EmptyBottleneckSelection(
-                    f"no candidate for clique pair {b.pair} at order {k}"
-                )
+                named = ", ".join(sorted({str(g.sorted(s.separator)) for s in seps}))
+                raise EmptyBottleneckSelection(f"no candidate at order {k}, separator {named}")
             best = min(xk[s] for s in candidates)
             chosen_level.update(s for s in candidates if xk[s] == best)
         # same-level mutual nestedness is guaranteed, not arranged; verify
-        chosen_sorted = sorted(chosen_level)
-        for i, s in enumerate(chosen_sorted):
-            for t in chosen_sorted[i + 1 :]:
-                if relate(s, t) == CROSSING:
-                    raise NestednessViolation(f"{s} crosses {t} within level {k}")
+        for s, t in combinations(sorted(chosen_level), 2):
+            if relate(s, t) == CROSSING:
+                raise NestednessViolation(f"{s} crosses {t} within level {k}")
         result.levels[k] = chosen_level
         result.union |= chosen_level
     return result
@@ -102,10 +106,9 @@ def verify_N(g: Graph, n: NestedSetLevels, aut: Sequence[Dict[str, str]]) -> dic
     seps = sorted(n.union)
     report = {"ok": True, "failures": [], "max_separator_membership": 0}
 
-    for i, s in enumerate(seps):
-        for t in seps[i + 1 :]:
-            if relate(s, t) == CROSSING:
-                report["failures"].append(("nested", (s, t)))
+    for s, t in combinations(seps, 2):
+        if relate(s, t) == CROSSING:
+            report["failures"].append(("nested", (s, t)))
 
     for s in seps:
         cl = classify(g, s)
@@ -121,17 +124,15 @@ def verify_N(g: Graph, n: NestedSetLevels, aut: Sequence[Dict[str, str]]) -> dic
                 report["failures"].append(("invariance", (phi, s)))
 
     # one max flow per pair, independent of the clique tree that built n
-    cliques = maximal_cliques(g, require_chordal=False)
-    for i in range(len(cliques)):
-        for j in range(i + 1, len(cliques)):
-            x, y = cliques[i].vertices, cliques[j].vertices
-            k = min_clique_separator(g, x, y)[0]
-            if not any(
-                s.order == k
-                and ((x <= s.sideA and y <= s.sideB) or (x <= s.sideB and y <= s.sideA))
-                for s in seps
-            ):
-                report["failures"].append(("distinguishes", (x, y)))
+    cliques = [c.vertices for c in maximal_cliques(g, require_chordal=False)]
+    for x, y in combinations(cliques, 2):
+        k = min_clique_separator(g, x, y)[0]
+        if not any(
+            s.order == k
+            and ((x <= s.sideA and y <= s.sideB) or (x <= s.sideB and y <= s.sideA))
+            for s in seps
+        ):
+            report["failures"].append(("distinguishes", (x, y)))
 
     counts = {v: 0 for v in g.vertices}
     for s in seps:

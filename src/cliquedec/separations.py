@@ -30,8 +30,8 @@ from .graph import Graph
 NESTED = "nested"
 CROSSING = "crossing"
 
-# beta assigns each free component of G - S to a side in every possible
-# way, so it makes 2^f separations for f free components.
+# bottleneck_part assigns each free component of G - S to a side in every
+# possible way, so it makes 2^f separations for f free components.
 EXPANSION_BUDGET = 20
 
 
@@ -209,8 +209,8 @@ class _VertexFlow:
         while self._bfs_augment():
             self.value += 1
 
-    def residual_reachable(self) -> set:
-        seen = {"s"}
+    def min_separator(self) -> FrozenSet[str]:
+        seen = {"s"}  # reachable in the residual digraph
         queue = deque(["s"])
         while queue:
             a = queue.popleft()
@@ -218,10 +218,6 @@ class _VertexFlow:
                 if c > 0 and b not in seen:
                     seen.add(b)
                     queue.append(b)
-        return seen
-
-    def min_separator(self) -> FrozenSet[str]:
-        seen = self.residual_reachable()
         return frozenset(
             v for v in self.g.vertices if ("in", v) in seen and ("out", v) not in seen
         )
@@ -251,8 +247,6 @@ class _VertexFlow:
             return self.inf if b[0] == "in" and b[1] in self.x else 0
         if b == "t":
             return self.inf if a[0] == "out" and a[1] in self.y else 0
-        if a == "s" or b == "s" or a == "t" or b == "t":
-            return 0
         if a[0] == "in" and b[0] == "out" and a[1] == b[1]:
             return 1
         if a[0] == "out" and b[0] == "in" and self.g.has_edge(a[1], b[1]):
@@ -306,54 +300,59 @@ def clique_min_separators(
 # -- bottlenecks --------------------------------------------------------
 
 
+def bottleneck_part(g: Graph, sep: FrozenSet[str], u: str, v: str) -> Tuple[Separation, ...]:
+    """The part (S, C_u, C_v) of a bottleneck: every separation, sorted, with
+    separator S = sep and the components C_u, C_v of G - S that hold u and v
+    on opposite sides.  Each other component goes to either side, so a part
+    has 2^f members for f free components.  C_u and C_v must be full, so
+    every member is tight.  Each graph builds each part and each distinct
+    separation once: both are cached per separator, beside the components
+    of G - S and a vertex -> component map.
+    """
+    entry = g._bottleneck_cache.get(sep)
+    if entry is None:
+        comps = g.components_after_deletion(sep)
+        where = {w: n for n, (comp, _) in enumerate(comps) for w in comp}
+        entry = g._bottleneck_cache[sep] = (comps, where, {}, {})
+    comps, where, parts, known = entry
+    i, j = sorted((where[u], where[v]))
+    if (i, j) not in parts:
+        if i == j:
+            raise NotASeparation(f"{g.sorted(sep)} fails to separate {u!r} from {v!r}")
+        if not (comps[i][1] and comps[j][1]):
+            raise InvariantViolation(f"minimum separator {g.sorted(sep)} is not tight")
+        free = [comp for n, (comp, _) in enumerate(comps) if n != i and n != j]
+        if len(free) > EXPANSION_BUDGET:
+            raise TooLarge(
+                f"bottleneck expansion budget is {EXPANSION_BUDGET} free "
+                f"components, separator {g.sorted(sep)} leaves {len(free)}"
+            )
+        found = []
+        for mask in range(1 << len(free)):
+            a, b = set(sep | comps[i][0]), set(sep | comps[j][0])
+            for n, comp in enumerate(free):
+                (a if (mask >> n) & 1 else b).update(comp)
+            s = Separation(a, b)
+            found.append(known.setdefault(s, s))
+        parts[i, j] = tuple(sorted(found))
+    return parts[i, j]
+
+
 def beta(g: Graph, x: MaximalClique, y: MaximalClique, check: bool = True) -> Bottleneck:
     """The bottleneck of two distinct maximal cliques of a chordal graph.
 
     All tight separations {A, B} of minimum order with X <= A and Y <= B;
     the order is strictly below min(|X|, |Y|).  A graph that is not chordal
-    raises NotChordal.  Chordality is tested once per graph, when its clique
-    tree is built, so ``check`` no longer changes the work done.  For a
-    minimum separator S the components of G - S holding X - S and Y - S are
-    full (else S less a vertex would still separate), so every side
-    assignment of the other components is tight.  Each graph builds each
-    distinct separation once, shared by all clique pairs.
+    raises NotChordal; ``check`` no longer changes the work done.  It is the
+    union of one `bottleneck_part` per minimum separator S, forcing apart
+    the components that hold X - S and Y - S.  They are full: else S less a
+    vertex would still separate.
     """
     xs, ys = x.vertices, y.vertices
     seps = clique_min_separators(g, xs, ys)
     k = len(seps[0])
     if k >= min(len(xs), len(ys)):
         raise ImproperSeparation(f"bottleneck order {k} is not below both clique sizes")
-    # Cached on the graph per separator: its components with their full
-    # flags, its expansions keyed by the two forced components in either
-    # order (separations are unordered), and each distinct separation.
-    parts = []
-    for sep in seps:
-        entry = g._bottleneck_cache.get(sep)
-        if entry is None:
-            comps = g.components_after_deletion(sep)
-            where = {v: n for n, (comp, _) in enumerate(comps) for v in comp}
-            entry = g._bottleneck_cache[sep] = (comps, where, {}, {})
-        comps, where, expansions, known = entry
-        i, j = sorted((where[next(iter(xs - sep))], where[next(iter(ys - sep))]))
-        if i == j:
-            raise NotASeparation(f"{g.sorted(sep)} fails to separate the cliques")
-        if (i, j) not in expansions:
-            if not (comps[i][1] and comps[j][1]):
-                raise InvariantViolation(f"minimum separator {g.sorted(sep)} is not tight")
-            free = [comp for n, (comp, _) in enumerate(comps) if n != i and n != j]
-            if len(free) > EXPANSION_BUDGET:
-                raise TooLarge(
-                    f"bottleneck expansion budget is {EXPANSION_BUDGET} free "
-                    f"components, separator {g.sorted(sep)} leaves {len(free)}"
-                )
-            found = []
-            for mask in range(1 << len(free)):
-                a, b = set(sep | comps[i][0]), set(sep | comps[j][0])
-                for n, comp in enumerate(free):
-                    (a if (mask >> n) & 1 else b).update(comp)
-                s = Separation(a, b)
-                found.append(known.setdefault(s, s))
-            expansions[i, j] = tuple(sorted(found))
-        parts.append(expansions[i, j])
+    parts = [bottleneck_part(g, s, next(iter(xs - s)), next(iter(ys - s))) for s in seps]
     uniq = parts[0] if len(parts) == 1 else tuple(sorted(set().union(*parts)))
     return Bottleneck(pair=(x, y), order=k, separations=uniq)

@@ -1,13 +1,17 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with four exceptions: `flow_min_separators` builds on the package's
+with five exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
 and `classify`, which the separation tests check on their own,
-`all_images_automorphisms` on the colour refinement `_refine_colors`, and
+`all_images_automorphisms` on the colour refinement `_refine_colors`,
 `closure_build_td` on the validation and post-checks of the tree
-builder it is compared against.  `quadratic_mcs_order`,
+construction it is compared against, and `pairwise_construct_N` on `beta`
+(checked against `explicit_beta`), `crossing_count` and `relate`.
+`pairwise_construct_N` is the nested-set selection as it was before it
+ran once per bottleneck part: one `beta` per clique pair, filtered and
+minimised over that pair's whole bottleneck.  `quadratic_mcs_order`,
 `pairwise_verify_peo` and `full_bfs_ball` are the chordality kernels as
 they were before the heap, the parent test and the bounded BFS; they use
 only the Graph type, its `Ball` record and the unbounded `distances_from`.
@@ -22,18 +26,23 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import networkx as nx
 
-from cliquedec.chordal import MaximalClique
+from cliquedec.chordal import MaximalClique, maximal_cliques
 from cliquedec.errors import (
+    EmptyBottleneckSelection,
     ImproperSeparation,
     InvariantViolation,
+    NestednessViolation,
     NotNested,
     PreconditionViolated,
 )
 from cliquedec.graph import INFINITY, Ball, Graph
+from cliquedec.nested import NestedSetLevels, crossing_count
 from cliquedec.separations import (
     CROSSING,
+    NESTED,
     Separation,
     _VertexFlow,
+    beta,
     classify,
     clique_min_separators,
     relate,
@@ -623,3 +632,50 @@ def _scan_induced(g: Graph, vs: Iterable[str]) -> Graph:
         if v in keep and g.key(u) < g.key(v)
     ]
     return Graph(order, edges)
+
+
+def pairwise_construct_N(g: Graph) -> NestedSetLevels:
+    """The canonical nested set from one bottleneck per clique pair.
+
+    Order by order, each pair's bottleneck is filtered against the lower
+    levels and its least-crossing members are kept; O(pairs) bottlenecks,
+    each filtered on its own.
+    """
+    if not g.is_connected():
+        raise PreconditionViolated("graph must be connected")
+    cliques = maximal_cliques(g)
+    bottlenecks = [
+        beta(g, cliques[i], cliques[j], check=False)
+        for i in range(len(cliques))
+        for j in range(i + 1, len(cliques))
+    ]
+    by_order = {}
+    for b in bottlenecks:
+        by_order.setdefault(b.order, []).append(b)
+
+    result = NestedSetLevels()
+    for k in sorted(by_order):
+        level_bottlenecks = by_order[k]
+        pool = sorted({s for b in level_bottlenecks for s in b.separations})
+        xk = {s: crossing_count(s, pool) for s in pool}
+        chosen_level = set()
+        for b in level_bottlenecks:
+            candidates = [
+                s
+                for s in b.separations
+                if all(relate(s, t) == NESTED for t in result.union)  # lower levels
+            ]
+            if not candidates:
+                raise EmptyBottleneckSelection(
+                    f"no candidate for clique pair {b.pair} at order {k}"
+                )
+            best = min(xk[s] for s in candidates)
+            chosen_level.update(s for s in candidates if xk[s] == best)
+        chosen_sorted = sorted(chosen_level)
+        for i, s in enumerate(chosen_sorted):
+            for t in chosen_sorted[i + 1 :]:
+                if relate(s, t) == CROSSING:
+                    raise NestednessViolation(f"{s} crosses {t} within level {k}")
+        result.levels[k] = chosen_level
+        result.union |= chosen_level
+    return result

@@ -152,26 +152,33 @@ def test_key_error_is_not_an_input_error(tmp_path, monkeypatch):
         main(["check-chordal", "--in", _write_graph(tmp_path, star(3))])
 
 
+C4Z = {"--in": cycle(4).to_json_dict(), "--voltage": cycle_z_presentation(4).to_json_dict()}
+
+
 @pytest.mark.parametrize(
-    "command, flag, data, extra",
+    "command, files, extra",
     [
-        ("canonical-td", "--in", ktree(12, 3, seed=1).to_json_dict(), []),
-        ("canonical-td", "--in", star(6).to_json_dict(), []),
-        ("maximal-td", "--in", star(6).to_json_dict(), []),
-        ("fold", "--voltage", cycle_z_presentation(6).to_json_dict(), ["-L", "3"]),
-        ("check-chordal", "--in", ktree(30, 3).to_json_dict(), []),
-        ("local-chordal", "--in", cycle(8).to_json_dict(), ["-r", "4"]),
+        ("canonical-td", {"--in": ktree(12, 3, seed=1).to_json_dict()}, []),
+        ("canonical-td", {"--in": star(6).to_json_dict()}, []),
+        ("maximal-td", {"--in": star(6).to_json_dict()}, []),
+        ("fold", {"--voltage": cycle_z_presentation(6).to_json_dict()}, ["-L", "3"]),
+        ("check-chordal", {"--in": ktree(30, 3).to_json_dict()}, []),
+        ("local-chordal", {"--in": cycle(8).to_json_dict()}, ["-r", "4"]),
+        ("verify-gd", C4Z, ["-L", "3"]),
+        ("r-acyclic", C4Z, ["-L", "3", "-r", "3"]),
     ],
     ids=[
         "canonical-td", "canonical-td-star6", "maximal-td-star6", "fold",
-        "check-chordal-ktree30", "local-chordal-c8",
+        "check-chordal-ktree30", "local-chordal-c8", "verify-gd-c4z", "r-acyclic-c4z",
     ],
 )
-def test_optimised_mode_prints_the_same_bytes(tmp_path, command, flag, data, extra):
+def test_optimised_mode_prints_the_same_bytes(tmp_path, command, files, extra):
     """`python -O` drops asserts; the output must not depend on them."""
-    f = tmp_path / "input.json"
-    f.write_text(json.dumps(data))
-    argv = ["-m", "cliquedec.cli", command, flag, str(f), "--json", *extra]
+    argv = ["-m", "cliquedec.cli", command, "--json", *extra]
+    for n, (flag, data) in enumerate(files.items()):
+        f = tmp_path / f"input{n}.json"
+        f.write_text(json.dumps(data))
+        argv += [flag, str(f)]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     runs = [
         subprocess.run(

@@ -201,6 +201,16 @@ def test_periodic_N_c6():
         assert s.order == 1  # vertex splits of the double ray
 
 
+def test_long_window_folds_as_the_short_one():
+    # the 198-vertex window at L=16 folds to the same decomposition as L=3
+    pres = cycle_z_presentation(6)
+    long_fold = fold_pipeline(pres, 16)
+    assert len(long_fold.window.window) == 198
+    assert long_fold.gd.to_json_dict() == fold_pipeline(pres, 3).gd.to_json_dict()
+    reps, stable = periodic_N(pres, 16)
+    assert stable and len(reps) == 6
+
+
 def test_periodic_N_c3_chordal_but_not_ball_preserving():
     reps, stable = periodic_N(cycle_z_presentation(3), 4)
     assert stable and len(reps) == 3

@@ -1,13 +1,30 @@
 """Nested-set extraction: crossing counts, level construction, verification."""
 
-import pytest
+import itertools
 
-from cliquedec.errors import NotChordal, PreconditionViolated
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cliquedec.chordal import MaximalClique, maximal_cliques
+from cliquedec.covers import derive_window
+from cliquedec.errors import EmptyBottleneckSelection, NotChordal, PreconditionViolated
 from cliquedec.graph import Graph
-from cliquedec.instances import complete, cycle, random_chordal, star, two_triangles
+from cliquedec.instances import (
+    complete,
+    cycle,
+    cycle_z_presentation,
+    ktree,
+    path,
+    random_chordal,
+    star,
+    two_triangles,
+)
 from cliquedec.nested import NestedSetLevels, construct_N, crossing_count, verify_N
-from cliquedec.separations import CROSSING, NESTED, Separation, relate
+from cliquedec.separations import CROSSING, NESTED, Bottleneck, Separation, beta, relate
 from cliquedec.symmetry import automorphism_generators
+
+from oracles import pairwise_construct_N
 
 
 def _star_splits(t):
@@ -126,3 +143,69 @@ def test_verify_N_two_triangles_swap_invariance():
     swap = {"a": "d", "d": "a", "b": "c", "c": "b"}
     report = verify_N(g, n, [swap])
     assert report["ok"]
+
+
+# -- selection per bottleneck part against the per-pair oracle
+
+
+def _same_as_pairwise(g):
+    assert construct_N(g).levels == pairwise_construct_N(g).levels
+
+
+def test_construct_N_matches_pairwise_suite1(suite1):
+    for g, res in suite1:
+        assert res["nested_set"].levels == pairwise_construct_N(g).levels
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_construct_N_matches_pairwise_random_chordal(seed):
+    _same_as_pairwise(random_chordal(10 + 30 * seed // 11, seed))  # n from 10 to 40
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_chordal(30, 5), path(12)]
+    + [ktree(25, k, seed=k) for k in (1, 2, 3)]
+    + [star(t) for t in range(2, 10)],
+    ids=["rc30-5", "path12", "1-tree", "2-tree", "3-tree"] + [f"star{t}" for t in range(2, 10)],
+)
+def test_construct_N_matches_pairwise(g):
+    _same_as_pairwise(g)
+
+
+@pytest.mark.parametrize("L", range(4, 11))
+def test_construct_N_matches_pairwise_c6z_window(L):
+    _same_as_pairwise(derive_window(cycle_z_presentation(6), L).window)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 30))
+def test_construct_N_matches_pairwise_hypothesis(seed, n):
+    _same_as_pairwise(random_chordal(n, seed))
+
+
+def test_construct_N_of_pair_bottlenecks_is_the_default():
+    # the per-pair bottlenecks, supplied, take the same selection path
+    g = random_chordal(25, 2)
+    pairs = itertools.combinations(maximal_cliques(g), 2)
+    assert construct_N(g, [beta(g, x, y) for x, y in pairs]).levels == construct_N(g).levels
+
+
+def test_empty_bottleneck_selection_is_raised():
+    # on the path a-b-c-d-e, {a,b,c | c,d,e} is chosen at order 1, and the
+    # only member of the order-2 bottleneck, {b,c,d | a,b,d,e}, crosses it
+    g = path(5)
+    a, b, c, d, e = g.vertices
+    chosen = Separation(frozenset({a, b, c}), frozenset({c, d, e}))
+    crossing = Separation(frozenset({b, c, d}), frozenset({a, b, d, e}))
+    nested = Separation(frozenset({a, b, c, d}), frozenset({c, d, e}))
+    assert relate(chosen, crossing) == CROSSING and relate(chosen, nested) == NESTED
+
+    def bottleneck(*seps):
+        pair = (MaximalClique(frozenset({a, b})), MaximalClique(frozenset({d, e})))
+        return Bottleneck(pair=pair, order=seps[0].order, separations=seps)
+
+    n = construct_N(g, [bottleneck(chosen), bottleneck(crossing, nested)])
+    assert n.levels == {1: {chosen}, 2: {nested}}
+    with pytest.raises(EmptyBottleneckSelection, match=rf"order 2, separator \['{b}', '{d}'\]"):
+        construct_N(g, [bottleneck(chosen), bottleneck(crossing)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquedec import separations
-from cliquedec.chordal import MaximalClique, is_chordal, maximal_cliques
+from cliquedec.chordal import MaximalClique, clique_tree, is_chordal, maximal_cliques
 from cliquedec.covers import derive_window
 from cliquedec.errors import (
     CliquesEqual,
@@ -33,6 +33,7 @@ from cliquedec.separations import (
     NESTED,
     Separation,
     beta,
+    bottleneck_part,
     classify,
     clique_min_separators,
     min_clique_separator,
@@ -317,6 +318,52 @@ def test_beta_shares_separation_objects():
         assert all(s is t for s, t in zip(b.separations, again.separations))
         for s in b.separations:
             assert first_seen.setdefault(s, s) is s
+
+
+# -- every bottleneck part is the whole bottleneck of some clique pair
+
+
+def _each_part_is_a_bottleneck(g):
+    cliques = maximal_cliques(g)
+    labels = [sep for sep in dict.fromkeys(clique_tree(g).label) if sep]
+    for sep in labels:
+        comps = g.components_after_deletion(sep)
+        full = [n for n, (_, is_full) in enumerate(comps) if is_full]
+        assert len(full) >= 2, g.sorted(sep)
+
+        # a vertex of each full component that sees all of S
+        sees_all = {
+            n: next(v for v in g.sorted(comps[n][0]) if sep <= g.neighbors(v)) for n in full
+        }
+        for i, j in itertools.combinations(full, 2):
+            v1, v2 = sees_all[i], sees_all[j]
+            x, y = (next(c for c in cliques if sep | {v} <= c.vertices) for v in (v1, v2))
+            assert x.vertices & y.vertices == sep
+            free = [comp for n, (comp, _) in enumerate(comps) if n not in (i, j)]
+            part = set()
+            for sides in itertools.product("AB", repeat=len(free)):
+                assignment = {comps[i][0]: "A", comps[j][0]: "B", **dict(zip(free, sides))}
+                part.add(separation_from_separator(g, sep, assignment))
+            b = beta(g, x, y)
+            assert b.order == len(sep) and b.separations == tuple(sorted(part)), g.sorted(sep)
+            assert bottleneck_part(g, sep, v1, v2) == b.separations
+
+
+def test_each_part_is_a_bottleneck_suites(suite1, suite2):
+    graphs = [g for g, _ in suite1]
+    graphs += [g for g in suite2 if g.is_connected() and is_chordal(g)[0]]
+    for g in graphs:
+        _each_part_is_a_bottleneck(g)
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_each_part_is_a_bottleneck_star(t):
+    _each_part_is_a_bottleneck(star(t))
+
+
+@pytest.mark.parametrize("L", [3, 4, 6, 8])
+def test_each_part_is_a_bottleneck_c6z_window(L):
+    _each_part_is_a_bottleneck(derive_window(cycle_z_presentation(6), L).window)
 
 
 # -- clique-tree minimum separators against the max-flow and brute-force oracles
