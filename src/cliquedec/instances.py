@@ -7,6 +7,7 @@ from typing import Optional
 
 from .chordal import maximal_cliques
 from .covers import VoltagePresentation, parse_word
+from .errors import OutOfRange
 from .graph import Graph
 
 
@@ -113,18 +114,23 @@ def identity_presentation(g: Graph) -> VoltagePresentation:
 def make_instance(kind: str, params: Optional[dict] = None) -> Graph:
     """Instance factory used by the CLI's `gen` subcommand."""
     p = params or {}
+    def size(name: str, default: int, least: int) -> int:
+        value = int(p.get(name, default))
+        if value < least:
+            raise OutOfRange(f"{kind} needs {name} >= {least}, got {value}")
+        return value
     if kind == "star":
-        return star(int(p.get("t", 3)))
+        return star(size("t", 3, 1))
     if kind == "path":
-        return path(int(p.get("n", 5)))
+        return path(size("n", 5, 1))
     if kind == "cycle":
-        return cycle(int(p.get("n", 6)))
+        return cycle(size("n", 6, 3))
     if kind == "complete":
-        return complete(int(p.get("n", 4)))
+        return complete(size("n", 4, 1))
     if kind == "ktree":
         return ktree(int(p.get("n", 8)), int(p.get("k", 2)), int(p.get("seed", 0)))
     if kind == "random_chordal":
-        return random_chordal(int(p.get("n", 12)), int(p.get("seed", 0)))
+        return random_chordal(size("n", 12, 1), int(p.get("seed", 0)))
     if kind == "two_triangles":
         return two_triangles()
     if kind == "wheel":

@@ -25,6 +25,7 @@ from .separations import (
     Bottleneck,
     Separation,
     bottleneck_part,
+    by_key,
     classify,
     min_clique_separator,
     relate,
@@ -75,7 +76,7 @@ def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> Ne
 
     result = NestedSetLevels()
     for k in sorted(by_order):
-        pool = sorted({s for seps in by_order[k] for s in seps})
+        pool = sorted({s for seps in by_order[k] for s in seps}, key=by_key)
         xk = {s: crossing_count(s, pool) for s in pool}
         # nested with everything chosen at the lower levels
         allowed = {s for s in pool if all(relate(s, t) == NESTED for t in result.union)}
@@ -88,7 +89,7 @@ def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> Ne
             best = min(xk[s] for s in candidates)
             chosen_level.update(s for s in candidates if xk[s] == best)
         # same-level mutual nestedness is guaranteed, not arranged; verify
-        for s, t in combinations(sorted(chosen_level), 2):
+        for s, t in combinations(sorted(chosen_level, key=by_key), 2):
             if relate(s, t) == CROSSING:
                 raise NestednessViolation(f"{s} crosses {t} within level {k}")
         result.levels[k] = chosen_level
@@ -103,7 +104,7 @@ def verify_N(g: Graph, n: NestedSetLevels, aut: Sequence[Dict[str, str]]) -> dic
     under the given automorphism generators, (d) efficiently distinguishes
     every pair of distinct maximal cliques, (e) point-finite.
     """
-    seps = sorted(n.union)
+    seps = sorted(n.union, key=by_key)
     report = {"ok": True, "failures": [], "max_separator_membership": 0}
 
     for s, t in combinations(seps, 2):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .chordal import MaximalClique, clique_tree
@@ -29,6 +30,7 @@ from .graph import Graph
 
 NESTED = "nested"
 CROSSING = "crossing"
+by_key = attrgetter("_key")  # sorts separations in their order without calling __lt__
 
 # bottleneck_part assigns each free component of G - S to a side in every
 # possible way, so it makes 2^f separations for f free components.
@@ -133,10 +135,9 @@ def separation_from_separator(
 
 def relate(s1: Separation, s2: Separation) -> str:
     """'nested' iff some orientations satisfy A <= C and B >= D, else 'crossing'."""
-    for a, b in s1.orientations():
-        for c, d in s2.orientations():
-            if a <= c and b >= d:
-                return NESTED
+    a, b, c, d = s1.sideA, s1.sideB, s2.sideA, s2.sideB
+    if (a <= c and b >= d) or (a <= d and b >= c) or (b <= c and a >= d) or (b <= d and a >= c):
+        return NESTED
     return CROSSING
 
 
@@ -307,34 +308,41 @@ def bottleneck_part(g: Graph, sep: FrozenSet[str], u: str, v: str) -> Tuple[Sepa
     has 2^f members for f free components.  C_u and C_v must be full, so
     every member is tight.  Each graph builds each part and each distinct
     separation once: both are cached per separator, beside the components
-    of G - S and a vertex -> component map.
+    of G - S and a vertex -> component map; a separation is keyed by the
+    lesser of the bitmasks of the components on its two sides.
     """
     entry = g._bottleneck_cache.get(sep)
     if entry is None:
         comps = g.components_after_deletion(sep)
         where = {w: n for n, (comp, _) in enumerate(comps) for w in comp}
-        entry = g._bottleneck_cache[sep] = (comps, where, {}, {})
-    comps, where, parts, known = entry
+        entry = g._bottleneck_cache[sep] = (comps, where, (1 << len(comps)) - 1, {}, {})
+    comps, where, full, parts, known = entry
     i, j = sorted((where[u], where[v]))
     if (i, j) not in parts:
         if i == j:
             raise NotASeparation(f"{g.sorted(sep)} fails to separate {u!r} from {v!r}")
         if not (comps[i][1] and comps[j][1]):
             raise InvariantViolation(f"minimum separator {g.sorted(sep)} is not tight")
-        free = [comp for n, (comp, _) in enumerate(comps) if n != i and n != j]
+        free = [n for n in range(len(comps)) if n != i and n != j]
         if len(free) > EXPANSION_BUDGET:
             raise TooLarge(
                 f"bottleneck expansion budget is {EXPANSION_BUDGET} free "
                 f"components, separator {g.sorted(sep)} leaves {len(free)}"
             )
+        masks = [1 << i]
+        for n in free:
+            masks += [m | 1 << n for m in masks]
         found = []
-        for mask in range(1 << len(free)):
-            a, b = set(sep | comps[i][0]), set(sep | comps[j][0])
-            for n, comp in enumerate(free):
-                (a if (mask >> n) & 1 else b).update(comp)
-            s = Separation(a, b)
-            found.append(known.setdefault(s, s))
-        parts[i, j] = tuple(sorted(found))
+        for m in masks:
+            m = min(m, full ^ m)
+            s = known.get(m)
+            if s is None:
+                a, b = set(sep), set(sep)
+                for n, (comp, _) in enumerate(comps):
+                    (a if m >> n & 1 else b).update(comp)
+                s = known[m] = Separation(a, b)
+            found.append(s)
+        parts[i, j] = tuple(sorted(found, key=by_key))
     return parts[i, j]
 
 
@@ -354,5 +362,5 @@ def beta(g: Graph, x: MaximalClique, y: MaximalClique, check: bool = True) -> Bo
     if k >= min(len(xs), len(ys)):
         raise ImproperSeparation(f"bottleneck order {k} is not below both clique sizes")
     parts = [bottleneck_part(g, s, next(iter(xs - s)), next(iter(ys - s))) for s in seps]
-    uniq = parts[0] if len(parts) == 1 else tuple(sorted(set().union(*parts)))
+    uniq = parts[0] if len(parts) == 1 else tuple(sorted(set().union(*parts), key=by_key))
     return Bottleneck(pair=(x, y), order=k, separations=uniq)

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .graph import Graph, _json_list, _json_object, _json_pair, _json_strings
-from .separations import CROSSING, Separation, classify, relate
+from .separations import CROSSING, Separation, by_key, classify, relate
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def build_td_from_nested(g: Graph, n: Iterable[Separation]) -> TreeDecomposition
     """
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
-    seps = sorted(set(n))
+    seps = sorted(set(n), key=by_key)
     for i, s in enumerate(seps):
         cl = classify(g, s)
         if not cl.proper:

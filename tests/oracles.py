@@ -1,15 +1,20 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with five exceptions: `flow_min_separators` builds on the package's
+with six exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
 and `classify`, which the separation tests check on their own,
 `all_images_automorphisms` on the colour refinement `_refine_colors`,
 `closure_build_td` on the validation and post-checks of the tree
-construction it is compared against, and `pairwise_construct_N` on `beta`
+construction it is compared against, `explicit_part` on
+`separation_from_separator`, and `pairwise_construct_N` on `beta`
 (checked against `explicit_beta`), `crossing_count` and `relate`.
-`pairwise_construct_N` is the nested-set selection as it was before it
+`orientation_relate` is `relate` as it was before it became one boolean
+expression: a loop over the orientations of both separations as tuples.
+`explicit_part` is one bottleneck part as it was built before its
+separations were keyed by component bitmasks: every side assignment
+assembled afresh.  `pairwise_construct_N` is the nested-set selection as it was before it
 ran once per bottleneck part: one `beta` per clique pair, filtered and
 minimised over that pair's whole bottleneck.  `quadratic_mcs_order`,
 `pairwise_verify_peo` and `full_bfs_ball` are the chordality kernels as
@@ -292,6 +297,29 @@ def explicit_beta(g: Graph, x: MaximalClique, y: MaximalClique) -> Tuple[Separat
             if classify(g, s).tight:
                 out.append(s)
     return tuple(sorted(set(out)))
+
+
+def explicit_part(g: Graph, sep: FrozenSet[str], u: str, v: str) -> Tuple[Separation, ...]:
+    """The bottleneck part (S, C_u, C_v), sorted: every assignment of the
+    other components of G - S to the sides, with C_u on side A and C_v on
+    side B, built afresh by `separation_from_separator`."""
+    comps = [comp for comp, _ in g.components_after_deletion(sep)]
+    cu, cv = (next(comp for comp in comps if w in comp) for w in (u, v))
+    free = [comp for comp in comps if comp not in (cu, cv)]
+    part = set()
+    for sides in itertools.product("AB", repeat=len(free)):
+        assignment = {cu: "A", cv: "B", **dict(zip(free, sides))}
+        part.add(separation_from_separator(g, sep, assignment))
+    return tuple(sorted(part))
+
+
+def orientation_relate(s1: Separation, s2: Separation) -> str:
+    """'nested' iff some orientations satisfy A <= C and B >= D, tried in turn."""
+    for a, b in s1.orientations():
+        for c, d in s2.orientations():
+            if a <= c and b >= d:
+                return NESTED
+    return CROSSING
 
 
 def pairwise_is_automorphism(g: Graph, phi: Dict[str, str]) -> bool:

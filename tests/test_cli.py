@@ -153,6 +153,10 @@ def test_key_error_is_not_an_input_error(tmp_path, monkeypatch):
 
 
 C4Z = {"--in": cycle(4).to_json_dict(), "--voltage": cycle_z_presentation(4).to_json_dict()}
+# windmill(3, 6): six triangles sharing the vertex c
+WINDMILL = Graph(
+    ["c"], [e for i in range(6) for e in (("c", f"{i}a"), ("c", f"{i}b"), (f"{i}a", f"{i}b"))]
+)
 
 
 @pytest.mark.parametrize(
@@ -160,6 +164,7 @@ C4Z = {"--in": cycle(4).to_json_dict(), "--voltage": cycle_z_presentation(4).to_
     [
         ("canonical-td", {"--in": ktree(12, 3, seed=1).to_json_dict()}, []),
         ("canonical-td", {"--in": star(6).to_json_dict()}, []),
+        ("canonical-td", {"--in": WINDMILL.to_json_dict()}, []),
         ("maximal-td", {"--in": star(6).to_json_dict()}, []),
         ("fold", {"--voltage": cycle_z_presentation(6).to_json_dict()}, ["-L", "3"]),
         ("check-chordal", {"--in": ktree(30, 3).to_json_dict()}, []),
@@ -168,7 +173,8 @@ C4Z = {"--in": cycle(4).to_json_dict(), "--voltage": cycle_z_presentation(4).to_
         ("r-acyclic", C4Z, ["-L", "3", "-r", "3"]),
     ],
     ids=[
-        "canonical-td", "canonical-td-star6", "maximal-td-star6", "fold",
+        "canonical-td", "canonical-td-star6", "canonical-td-windmill3-6", "maximal-td-star6",
+        "fold",
         "check-chordal-ktree30", "local-chordal-c8", "verify-gd-c4z", "r-acyclic-c4z",
     ],
 )
@@ -343,6 +349,37 @@ def test_gen_deterministic(tmp_path, capsys):
     assert main(["gen", "star", "-t", "3"]) == 0
     g = Graph.from_json_dict(json.loads(capsys.readouterr().out))
     assert set(g.vertices) == {"c", "1", "2", "3"}
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value, bound",
+    [
+        ("cycle", "-n", 0, "n >= 3"),
+        ("cycle", "-n", 1, "n >= 3"),
+        ("cycle", "-n", 2, "n >= 3"),
+        ("path", "-n", -2, "n >= 1"),
+        ("complete", "-n", -1, "n >= 1"),
+        ("star", "-t", -1, "t >= 1"),
+        ("random_chordal", "-n", -3, "n >= 1"),
+    ],
+)
+def test_gen_rejects_sizes_that_make_no_such_graph(capsys, kind, flag, value, bound):
+    assert main(["gen", kind, flag, str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{kind} needs {bound}, got {value}" in captured.err
+
+
+def test_gen_smallest_sizes(capsys):
+    for argv, vertices, edges in [
+        (["cycle", "-n", "3"], 3, 3),
+        (["path", "-n", "1"], 1, 0),
+        (["complete", "-n", "1"], 1, 0),
+        (["star", "-t", "1"], 2, 1),
+        (["random_chordal", "-n", "1"], 1, 0),
+    ]:
+        assert main(["gen", *argv]) == 0
+        g = Graph.from_json_dict(json.loads(capsys.readouterr().out))
+        assert (len(g), g.edge_count()) == (vertices, edges), argv
 
 
 def test_reproduce_example(capsys):

@@ -46,7 +46,9 @@ from cliquedec.symmetry import automorphism_generators
 from oracles import (
     brute_min_separators,
     explicit_beta,
+    explicit_part,
     flow_min_separators,
+    orientation_relate,
     random_clique,
     random_graph,
 )
@@ -339,13 +341,9 @@ def _each_part_is_a_bottleneck(g):
             v1, v2 = sees_all[i], sees_all[j]
             x, y = (next(c for c in cliques if sep | {v} <= c.vertices) for v in (v1, v2))
             assert x.vertices & y.vertices == sep
-            free = [comp for n, (comp, _) in enumerate(comps) if n not in (i, j)]
-            part = set()
-            for sides in itertools.product("AB", repeat=len(free)):
-                assignment = {comps[i][0]: "A", comps[j][0]: "B", **dict(zip(free, sides))}
-                part.add(separation_from_separator(g, sep, assignment))
             b = beta(g, x, y)
-            assert b.order == len(sep) and b.separations == tuple(sorted(part)), g.sorted(sep)
+            part = explicit_part(g, sep, v1, v2)
+            assert b.order == len(sep) and b.separations == part, g.sorted(sep)
             assert bottleneck_part(g, sep, v1, v2) == b.separations
 
 
@@ -364,6 +362,79 @@ def test_each_part_is_a_bottleneck_star(t):
 @pytest.mark.parametrize("L", [3, 4, 6, 8])
 def test_each_part_is_a_bottleneck_c6z_window(L):
     _each_part_is_a_bottleneck(derive_window(cycle_z_presentation(6), L).window)
+
+
+def test_star8_builds_each_distinct_separation_once(monkeypatch):
+    """The 28 parts of star(8)'s centre hold 1,792 members but only 127
+    distinct separations: one per split of the 8 leaves into two nonempty sets."""
+    g, sep = star(8), frozenset("c")
+    built = []
+    post_init = Separation.__post_init__
+
+    def counting_post_init(s):
+        built.append(s)
+        post_init(s)
+
+    monkeypatch.setattr(Separation, "__post_init__", counting_post_init)
+    pairs = list(itertools.combinations(g.sorted(g.vertices)[1:], 2))
+    parts = {(u, v): bottleneck_part(g, sep, u, v) for u, v in pairs}
+    assert len(built) == 127 == len({s for part in parts.values() for s in part})
+    monkeypatch.undo()
+    assert sum(map(len, parts.values())) == 28 * 64
+    for (u, v), part in parts.items():
+        assert part == explicit_part(g, sep, u, v)
+
+
+# -- relate against the orientation loop it replaced
+
+
+def _relate_matches_orientations(g):
+    """Every unordered pair of each order's pool: the pairs whose crossings
+    `construct_N` counts (`relate` is symmetric, so one order suffices)."""
+    pools = {}
+    for sep in dict.fromkeys(clique_tree(g).label):
+        reps = [next(iter(comp)) for comp, full in g.components_after_deletion(sep) if full]
+        for u, v in itertools.combinations(reps if sep else [], 2):
+            pools.setdefault(len(sep), set()).update(bottleneck_part(g, sep, u, v))
+    for pool in pools.values():
+        pool = sorted(pool)
+        for i, s in enumerate(pool):
+            rest = pool[i:]
+            assert [relate(s, t) for t in rest] == [orientation_relate(s, t) for t in rest], s
+
+
+def test_relate_matches_orientations_suite1(suite1):
+    for g, _ in suite1:
+        _relate_matches_orientations(g)
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_relate_matches_orientations_star(t):
+    _relate_matches_orientations(star(t))
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_relate_matches_orientations_c6z_window(L):
+    _relate_matches_orientations(derive_window(cycle_z_presentation(6), L).window)
+
+
+SIDE = st.frozensets(st.sampled_from("abcdef"))
+
+
+@st.composite
+def side_pairs(draw):
+    """Two sides: arbitrary, one inside the other either way, or covering
+    the universe; empty and improper pairs included."""
+    a, extra = draw(SIDE), draw(SIDE)
+    b = draw(st.sampled_from([extra, a | extra, a & extra, frozenset("abcdef") - a | extra]))
+    return Separation(a, b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(side_pairs(), side_pairs())
+def test_relate_matches_orientations_random_sides(s, t):
+    assert relate(s, t) == orientation_relate(s, t)
+    assert relate(s, s) == orientation_relate(s, s) == NESTED
 
 
 # -- clique-tree minimum separators against the max-flow and brute-force oracles

@@ -1,5 +1,8 @@
 """Tree-decompositions: validation, construction, classification, contraction."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,6 +266,54 @@ def test_contract_orbit_order_input():
     edges = td.tree.edges()
     out = contract_to_maximal(g, td, orbits=[[e] for e in reversed(edges)], orbit_order="input")
     assert classify_td(g, out).into_maximal_cliques
+
+
+# -- renaming: canonical-td commutes with it, maximal-td's tree edges need not
+
+RENAMED = {f"rc{n}-{seed}": random_chordal(n, seed) for n in (15, 25) for seed in range(4)}
+RENAMED.update({"ktree20-3": ktree(20, 3, 1), "star6": star(6)})
+
+
+def _renamings(g):
+    """Three seeded renamings of g, each with a shuffled vertex order."""
+    for seed in range(3):
+        rng = random.Random(seed)
+        names = [f"u{i}" for i in range(len(g))]
+        rng.shuffle(names)
+        mapping = dict(zip(g.vertices, names))
+        order = [mapping[v] for v in g.vertices]
+        rng.shuffle(order)
+        yield mapping, Graph(order, [(mapping[u], mapping[v]) for u, v in g.edges()])
+
+
+def _shape(td, mapping=None):
+    """The bags and the tree edges as bag pairs, with node names dropped."""
+    bag = {t: frozenset(mapping[v] for v in b) if mapping else b for t, b in td.bags.items()}
+    edges = Counter(frozenset((bag[s], bag[t])) for s, t in td.tree.edges())
+    return Counter(bag.values()), edges
+
+
+@pytest.mark.parametrize("g", RENAMED.values(), ids=RENAMED.keys())
+def test_canonical_td_commutes_with_renaming(g):
+    want = build_td_from_nested(g, construct_N(g).union)
+    for mapping, h in _renamings(g):
+        assert _shape(build_td_from_nested(h, construct_N(h).union)) == _shape(want, mapping)
+
+
+def test_maximal_td_keeps_its_bags_under_renaming_but_not_its_edges():
+    """Contraction to maximal cliques merges edges in tree-node-name order,
+    so its bags are the maximal cliques under every renaming, but which
+    cliques are adjacent depends on the names (Example 5.1: no canonical
+    decomposition into maximal cliques exists in general)."""
+    moved = 0
+    for g in RENAMED.values():
+        want = contract_to_maximal(g, build_td_from_nested(g, construct_N(g).union))
+        for mapping, h in _renamings(g):
+            got = contract_to_maximal(h, build_td_from_nested(h, construct_N(h).union))
+            assert verify_td(h, got)["ok"] and classify_td(h, got).into_maximal_cliques
+            assert _shape(got)[0] == _shape(want, mapping)[0]
+            moved += _shape(got)[1] != _shape(want, mapping)[1]
+    assert moved > 0
 
 
 def test_disjoint_union_bags_check():
