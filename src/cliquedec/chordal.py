@@ -11,8 +11,9 @@ its edge labels are the minimal separators.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InvariantViolation, NotChordal
 from .graph import Graph
@@ -64,25 +65,29 @@ class CliqueTree:
         return out
 
 
-def mcs_order(g: Graph) -> List[str]:
+def mcs_order(g: Graph, within: Optional[Iterable[str]] = None) -> List[str]:
     """Maximum-cardinality search order; its reverse is a PEO iff g is chordal.
 
     Highest weight first, ties to the canonical order, from a heap with lazy
     deletion: O((n + m) log n) (Tarjan & Yannakakis, SIAM J. Comput. 1984).
+    With ``within``, the search runs on the subgraph those vertices induce,
+    read off g's adjacency; g's keys order them as that subgraph's would.
     """
-    weight = dict.fromkeys(g.vertices, 0)
-    heap = [(0, i, v) for i, v in enumerate(g.vertices)]  # already a heap
+    key, neighbors, push, pop = g.key, g.neighbors, heapq.heappush, heapq.heappop
+    weight = dict.fromkeys(g.vertices if within is None else within, 0)
+    heap = sorted((0, key(v), v) for v in weight)  # a sorted list is a heap
     visited = []
     while heap:
-        w, _, v = heapq.heappop(heap)
+        w, _, v = pop(heap)
         if -w != weight[v]:
             continue  # v was visited (None), or its weight has since risen
         weight[v] = None
         visited.append(v)
-        for u in g.neighbors(v):
-            if weight[u] is not None:
-                weight[u] += 1
-                heapq.heappush(heap, (-weight[u], g.key(u), u))
+        for u in neighbors(v):
+            wu = weight.get(u)
+            if wu is not None:  # None: visited, or not within
+                weight[u] = wu + 1
+                push(heap, (-wu - 1, key(u), u))
     return visited
 
 
@@ -91,14 +96,17 @@ def _verify_peo(g: Graph, order: List[str]) -> Optional[Tuple[str, str, str]]:
 
     The parent test, O(n + m): the order is a PEO iff every later neighbour
     of each v is adjacent to p, the earliest (Rose, Tarjan & Lueker, 1976).
+    An order of some of g's vertices is tested on the subgraph they induce.
     """
     pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
+    at = pos.get
+    for i, v in enumerate(order):
+        later = [u for u in g.neighbors(v) if at(u, -1) > i]
         if later:
-            p = min(later, key=pos.__getitem__)
+            p = min(later, key=at)
+            adjacent = g.neighbors(p)
             for w in later:
-                if w != p and not g.has_edge(p, w):
+                if w != p and w not in adjacent:
                     return (v, p, w)
     return None
 
@@ -108,27 +116,27 @@ def _find_hole(g: Graph) -> Optional[List[str]]:
 
     Scans induced paths u-v-w and closes them through G - (N[v] \\ {u, w});
     a shortest such connection is chordless, so the closed cycle is induced.
+    Each BFS runs on g's neighbour lists, sorted once, skipping the blocked.
     """
+    nbrs = {v: g.sorted(g.neighbors(v)) for v in g.vertices}
     for v in g.vertices:
-        nbrs = g.sorted(g.neighbors(v))
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1 :]:
-                if g.has_edge(u, w):
-                    continue
-                forbidden = (set(g.neighbors(v)) | {v}) - {u, w}
-                sub = g.induced(set(g.vertices) - forbidden)
-                if u not in sub or w not in sub:
-                    continue
-                path = _shortest_path(sub, u, w)
-                if path is not None:
-                    return [v] + path
+        closed = g.neighbors(v) | {v}
+        for i, u in enumerate(nbrs[v]):
+            for w in nbrs[v][i + 1 :]:
+                if not g.has_edge(u, w):
+                    path = _shortest_path(nbrs, closed - {u, w}, u, w)
+                    if path is not None:
+                        return [v] + path
     return None
 
 
-def _shortest_path(g: Graph, u: str, w: str) -> Optional[List[str]]:
-    from collections import deque
-
-    prev = {u: None}
+def _shortest_path(
+    nbrs: Dict[str, List[str]], blocked: Iterable[str], u: str, w: str
+) -> Optional[List[str]]:
+    """The shortest u-w path that a BFS over the sorted neighbour lists nbrs
+    finds first, avoiding the blocked vertices; None if there is none."""
+    prev = dict.fromkeys(blocked)  # seen, but never dequeued or on a path
+    prev[u] = None
     queue = deque([u])
     while queue:
         x = queue.popleft()
@@ -138,7 +146,7 @@ def _shortest_path(g: Graph, u: str, w: str) -> Optional[List[str]]:
                 path.append(x)
                 x = prev[x]
             return path[::-1]
-        for y in g.sorted(g.neighbors(x)):
+        for y in nbrs[x]:
             if y not in prev:
                 prev[y] = x
                 queue.append(y)
@@ -172,13 +180,20 @@ def clique_tree(g: Graph) -> CliqueTree:
 
     Raises NotChordal with a hole otherwise.
     """
-    tree = g._clique_tree
+    tree = _clique_tree_if_chordal(g)
     if tree is None:
-        ok, cert = is_chordal(g)
-        if not ok:
-            raise NotChordal(cert)
-        tree = g._clique_tree = _build_clique_tree(g, cert.order)
+        raise NotChordal(is_chordal(g)[1])
     return tree
+
+
+def _clique_tree_if_chordal(g: Graph) -> Optional[CliqueTree]:
+    """The cached clique tree of g, built on first use; None if g is not chordal."""
+    if g._clique_tree is None:
+        order = mcs_order(g)[::-1]
+        if _verify_peo(g, order) is not None:
+            return None
+        g._clique_tree = _build_clique_tree(g, tuple(order))
+    return g._clique_tree
 
 
 def _build_clique_tree(g: Graph, peo: Tuple[str, ...]) -> CliqueTree:
@@ -227,13 +242,12 @@ def maximal_cliques(g: Graph, require_chordal: bool = True) -> List[MaximalCliqu
     """All maximal cliques, duplicate-free, in canonical order.
 
     For chordal graphs these are the nodes of the clique tree; with
-    require_chordal=False a Bron-Kerbosch fallback handles general graphs.
+    require_chordal=False a Bron-Kerbosch fallback handles general graphs,
+    and no hole is searched for.
     """
-    try:
-        return [MaximalClique(c) for c in clique_tree(g).cliques]
-    except NotChordal:
-        if require_chordal:
-            raise
+    tree = clique_tree(g) if require_chordal else _clique_tree_if_chordal(g)
+    if tree is not None:
+        return [MaximalClique(c) for c in tree.cliques]
     found = []
     _bron_kerbosch(g, set(), set(g.vertices), set(), found)
     uniq = sorted(set(found), key=lambda c: tuple(g.key(v) for v in g.sorted(c)))
@@ -344,13 +358,14 @@ def _long_induced_cycle(g: Graph, r: int) -> Optional[List[str]]:
 def is_r_locally_chordal(g: Graph, r: int):
     """True iff the ball of radius r/2 around every vertex is chordal.
 
-    Witness is the first failing center (canonical order) with its hole.
+    Each ball is tested on g's adjacency, restricted to its vertices; only
+    the first failing center (canonical order) builds its ball, whose hole
+    is the witness.
     """
     if r < 3:
         raise ValueError("r must be >= 3")
     for v in g.vertices:
-        b = g.ball(v, r)
-        ok, cert = is_chordal(b.subgraph)
-        if not ok:
-            return False, (v, cert)
+        ball = g.distances_from(v, r // 2)
+        if _verify_peo(g, mcs_order(g, ball)[::-1]) is not None:
+            return False, (v, is_chordal(g.ball(v, r).subgraph)[1])
     return True, None

@@ -31,7 +31,6 @@ from .separations import Separation
 from .treedec import (
     TreeDecomposition,
     _bags_are_maximal_cliques,
-    _to_dot,
     _uncovered,
     build_td_from_nested,
     classify_td,
@@ -505,25 +504,6 @@ class GraphDecomposition:
                 for v, sub in self.coparts.items()
             },
         }
-
-    def to_dot(self) -> str:
-        return _to_dot("graphdec", self.model, self.bags)
-
-    def to_graphml(self) -> str:
-        lines = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-            '  <key id="bag" for="node" attr.name="bag" attr.type="string"/>',
-            '  <graph edgedefault="undirected">',
-        ]
-        for h in self.model.vertices:
-            lines.append(f'    <node id="{h}">')
-            lines.append(f'      <data key="bag">{",".join(sorted(self.bags[h]))}</data>')
-            lines.append("    </node>")
-        for u, v in self.model.edges():
-            lines.append(f'    <edge source="{u}" target="{v}"/>')
-        lines.extend(["  </graph>", "</graphml>"])
-        return "\n".join(lines)
 
 
 def fold(

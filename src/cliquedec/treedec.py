@@ -60,21 +60,6 @@ class TreeDecomposition:
         pairs = [_json_pair(e, "a tree-decomposition edge") for e in edges]
         return TreeDecomposition(tree=Graph(list(bags), pairs), bags=bags)
 
-    def to_dot(self) -> str:
-        return _to_dot("treedec", self.tree, self.bags)
-
-
-def _to_dot(name: str, g: Graph, bags: Dict[str, FrozenSet[str]]) -> str:
-    """DOT text of a graph whose nodes are labelled by their bags."""
-    lines = [f"graph {name} {{"]
-    for t in g.vertices:
-        label = "{" + ",".join(sorted(bags[t])) + "}"
-        lines.append(f'  "{t}" [label="{label}"];')
-    for u, v in g.edges():
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class TDClassification:

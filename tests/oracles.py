@@ -1,15 +1,17 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with six exceptions: `flow_min_separators` builds on the package's
+with seven exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
 and `classify`, which the separation tests check on their own,
 `all_images_automorphisms` on the colour refinement `_refine_colors`,
 `closure_build_td` on the validation and post-checks of the tree
 construction it is compared against, `explicit_part` on
-`separation_from_separator`, and `pairwise_construct_N` on `beta`
-(checked against `explicit_beta`), `crossing_count` and `relate`.
+`separation_from_separator`, `pairwise_construct_N` on `beta`
+(checked against `explicit_beta`), `crossing_count` and `relate`, and
+`hole_searching_maximal_cliques` on `is_chordal`, `clique_tree` and the
+Bron-Kerbosch search `_bron_kerbosch`.
 `orientation_relate` is `relate` as it was before it became one boolean
 expression: a loop over the orientations of both separations as tuples.
 `explicit_part` is one bottleneck part as it was built before its
@@ -20,6 +22,12 @@ minimised over that pair's whole bottleneck.  `quadratic_mcs_order`,
 `pairwise_verify_peo` and `full_bfs_ball` are the chordality kernels as
 they were before the heap, the parent test and the bounded BFS; they use
 only the Graph type, its `Ball` record and the unbounded `distances_from`.
+`subgraph_find_hole` and `subgraph_r_locally_chordal` are the hole search
+and the r-local test as they were before they ran on the host's adjacency:
+one induced subgraph per probed path u-v-w, and one ball subgraph per
+centre, decided by the kernels above.  `hole_searching_maximal_cliques`
+is `maximal_cliques(require_chordal=False)` as it was before it skipped
+the hole search.
 Values produced by these functions are compared against the package's
 own algorithms.
 """
@@ -27,11 +35,18 @@ own algorithms.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from cliquedec.chordal import MaximalClique, maximal_cliques
+from cliquedec.chordal import (
+    MaximalClique,
+    _bron_kerbosch,
+    clique_tree,
+    is_chordal,
+    maximal_cliques,
+)
 from cliquedec.errors import (
     EmptyBottleneckSelection,
     ImproperSeparation,
@@ -660,6 +675,64 @@ def _scan_induced(g: Graph, vs: Iterable[str]) -> Graph:
         if v in keep and g.key(u) < g.key(v)
     ]
     return Graph(order, edges)
+
+
+def subgraph_find_hole(g: Graph) -> Optional[List[str]]:
+    """An induced cycle of length >= 4, or None: for each induced path
+    u-v-w, a shortest u-w path in the subgraph induced by V - (N[v] - {u, w})."""
+    for v in g.vertices:
+        nbrs = g.sorted(g.neighbors(v))
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1 :]:
+                if g.has_edge(u, w):
+                    continue
+                forbidden = (set(g.neighbors(v)) | {v}) - {u, w}
+                sub = g.induced(set(g.vertices) - forbidden)
+                if u not in sub or w not in sub:
+                    continue
+                path = _subgraph_shortest_path(sub, u, w)
+                if path is not None:
+                    return [v] + path
+    return None
+
+
+def _subgraph_shortest_path(g: Graph, u: str, w: str) -> Optional[List[str]]:
+    prev = {u: None}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        if x == w:
+            path = []
+            while x is not None:
+                path.append(x)
+                x = prev[x]
+            return path[::-1]
+        for y in g.sorted(g.neighbors(x)):
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    return None
+
+
+def subgraph_r_locally_chordal(g: Graph, r: int):
+    """The first centre whose ball of radius r/2, built as a subgraph, is not
+    chordal, with that ball's hole; (True, None) if there is none."""
+    for v in g.vertices:
+        sub = full_bfs_ball(g, v, r).subgraph
+        if pairwise_verify_peo(sub, quadratic_mcs_order(sub)[::-1]) is not None:
+            return False, (v, subgraph_find_hole(sub))
+    return True, None
+
+
+def hole_searching_maximal_cliques(g: Graph) -> List[MaximalClique]:
+    """The clique tree's cliques if g is chordal; otherwise, once a hole has
+    been found, Bron-Kerbosch in canonical order."""
+    if is_chordal(g)[0]:
+        return [MaximalClique(c) for c in clique_tree(g).cliques]
+    found = []
+    _bron_kerbosch(g, set(), set(g.vertices), set(), found)
+    uniq = sorted(set(found), key=lambda c: tuple(g.key(v) for v in g.sorted(c)))
+    return [MaximalClique(c) for c in uniq]
 
 
 def pairwise_construct_N(g: Graph) -> NestedSetLevels:

@@ -16,22 +16,35 @@ from cliquedec.chordal import (
     mcs_order,
     minimal_separators,
     perfect_elimination_ordering,
+    _find_hole,
     _verify_peo,
 )
+from cliquedec.covers import derive_window
 from cliquedec.errors import NotChordal
 from cliquedec.graph import Graph
 from cliquedec.instances import (
-    complete, cycle, ktree, path, random_chordal, star, two_triangles, wheel,
+    complete,
+    cycle,
+    cycle_z_presentation,
+    ktree,
+    path,
+    random_chordal,
+    star,
+    two_triangles,
+    wheel,
 )
 
 from oracles import (
     brute_minimal_separators,
     full_bfs_ball,
+    hole_searching_maximal_cliques,
     nx_is_chordal,
     nx_maximal_cliques,
     pairwise_verify_peo,
     quadratic_mcs_order,
     random_graph,
+    subgraph_find_hole,
+    subgraph_r_locally_chordal,
 )
 
 
@@ -232,16 +245,105 @@ def test_peo_verdict_matches_pairwise_oracle(suite1, suite2):
         for _ in range(5):
             order = rng.sample(g.vertices, len(g))
             assert (_verify_peo(g, order) is None) == (pairwise_verify_peo(g, order) is None)
+            # an order of some vertices is tested on the subgraph they induce
+            part = order[: rng.randint(1, len(g))]
+            sub = g.induced(part)
+            assert (_verify_peo(g, part) is None) == (pairwise_verify_peo(sub, part) is None)
 
 
-def test_r_locally_chordal_matches_full_bfs_oracle(suite2):
-    def oracle(g, r):
+def _with_holes(g, count, rng):
+    """A copy of g plus ``count`` edges uw with d(u, w) = 3; each closes an
+    induced 4-cycle through a shortest u-w path."""
+    edges = g.edges()
+    for _ in range(count):
+        h = Graph(g.vertices, edges)
+        u = rng.choice(h.vertices)
+        far = [w for w, d in h.distances_from(u, 3).items() if d == 3]
+        if far:
+            edges.append((u, rng.choice(h.sorted(far))))
+    return Graph(g.vertices, edges)
+
+
+def _square(g):
+    """g plus an edge between any two vertices at distance 2."""
+    hops = [(u, w) for v in g.vertices for u in g.neighbors(v) for w in g.neighbors(v) if u < w]
+    return Graph(g.vertices, g.edges() + hops)
+
+
+def _host_instances(suite1, suite2):
+    """Chordal, holed, r-locally chordal and random graphs for the
+    host-adjacency kernels; each a fresh graph with no cached clique tree."""
+    yield from (Graph(g.vertices, g.edges()) for g, _ in suite1)
+    yield from (Graph(g.vertices, g.edges()) for g in suite2)
+    for n in range(4, 13):
+        yield cycle(n)  # C8 is 4-locally chordal but not chordal
+    for seed in range(8):
+        rng = random.Random(seed)
+        yield _with_holes(random_chordal(rng.randint(15, 40), seed), rng.randint(1, 4), rng)
+    for seed in range(8):
+        rng = random.Random(100 + seed)
+        yield random_graph(rng.randint(4, 16), rng.uniform(0.15, 0.6), rng)
+    yield _square(cycle(7))
+    yield derive_window(cycle_z_presentation(6), 4).window
+
+
+def _assert_r_locally_chordal_matches_oracle(g):
+    for r in range(3, 9):
+        assert is_r_locally_chordal(g, r) == subgraph_r_locally_chordal(g, r), (g, r)
+    # any MCS order decides chordality, so the ball's order is pinned on its own
+    for k in range(1, 5):
         for v in g.vertices:
-            ok, cert = is_chordal(full_bfs_ball(g, v, r).subgraph)
-            if not ok:
-                return False, (v, cert)
-        return True, None
+            ball = full_bfs_ball(g, v, 2 * k).subgraph
+            assert mcs_order(g, g.distances_from(v, k)) == quadratic_mcs_order(ball), (g, v, k)
 
-    for g in suite2:
-        for r in range(3, 7):
-            assert is_r_locally_chordal(g, r) == oracle(g, r)
+
+def _assert_hole_and_cliques_match_oracles(g):
+    assert maximal_cliques(g, require_chordal=False) == hole_searching_maximal_cliques(g), g
+    assert _find_hole(g) == subgraph_find_hole(g), g
+
+
+def test_r_locally_chordal_matches_full_bfs_oracle(suite1, suite2):
+    for g in _host_instances(suite1, suite2):
+        _assert_r_locally_chordal_matches_oracle(g)
+    ok, _ = is_r_locally_chordal(cycle(8), 4)
+    assert ok and not is_chordal(cycle(8))[0]
+
+
+def test_hole_and_cliques_match_subgraph_oracles(suite1, suite2):
+    for g in _host_instances(suite1, suite2):
+        _assert_hole_and_cliques_match_oracles(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 12), st.lists(st.booleans(), min_size=66, max_size=66))
+def test_host_kernels_match_subgraph_oracles_hypothesis(n, bits):
+    vs = [f"v{i}" for i in range(n)]
+    pairs = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1 :]]
+    g = Graph(vs, [e for e, b in zip(pairs, bits) if b])
+    _assert_hole_and_cliques_match_oracles(g)
+    _assert_r_locally_chordal_matches_oracle(g)
+
+
+def _graphs_built(monkeypatch, call):
+    """How many Graph objects call() constructs."""
+    built = []
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    call()
+    monkeypatch.undo()
+    return len(built)
+
+
+def test_balls_and_hole_probes_build_no_subgraphs(monkeypatch):
+    g = ktree(200, 2)
+    holed = _with_holes(g, 1, random.Random(0))
+    assert _graphs_built(monkeypatch, lambda: is_r_locally_chordal(g, 4)) == 0
+    # only the failing ball is built, for its hole
+    assert _graphs_built(monkeypatch, lambda: is_r_locally_chordal(holed, 4)) == 1
+    assert _graphs_built(monkeypatch, lambda: _find_hole(holed)) == 0
+    assert not is_r_locally_chordal(holed, 4)[0] and _find_hole(holed) is not None

@@ -1,8 +1,12 @@
 """Voltage presentations, windows, cover checks, folding, r-acyclicity."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquedec.covers import (
     IDENTITY,
@@ -272,6 +276,66 @@ def test_fold_pipeline_matches_step_by_step_c6z_L6(c6z_artifacts):
     assert (td, fold(pres, win, td)) == _fold_step_by_step(pres, 6)
 
 
+# -- renaming: fold commutes with renaming the base and the generators
+
+
+def _renamed_presentation(pres, seed):
+    """pres with its base vertices renamed (and reordered) and z renamed w."""
+    rng = random.Random(seed)
+    base = pres.base
+    names = [f"b{i}" for i in range(len(base))]
+    rng.shuffle(names)
+    mapping = dict(zip(base.vertices, names))
+    order = [mapping[v] for v in base.vertices]
+    rng.shuffle(order)
+    renamed = VoltagePresentation(
+        base=Graph(order, [(mapping[u], mapping[v]) for u, v in base.edges()]),
+        tree_edges=frozenset(frozenset(mapping[v] for v in e) for e in pres.tree_edges),
+        voltages={
+            (mapping[u], mapping[v]): tuple(({"z": "w"}[x], e) for x, e in word)
+            for (u, v), word in pres.voltages.items()
+        },
+    )
+    return mapping, renamed
+
+
+def _gd_shape(gd, mapping=None):
+    """Bags, model edges as bag pairs and co-parts, with model-node names
+    dropped and base vertices renamed by mapping."""
+    bag = {h: frozenset(mapping[v] for v in b) if mapping else b for h, b in gd.bags.items()}
+
+    def edges(model):
+        return Counter(frozenset((bag[s], bag[t])) for s, t in model.edges())
+
+    coparts = {
+        mapping[v] if mapping else v: (Counter(bag[h] for h in sub.vertices), edges(sub))
+        for v, sub in gd.coparts.items()
+    }
+    return Counter(bag.values()), edges(gd.model), coparts
+
+
+FOLD_RENAMED = {n: fold_pipeline(cycle_z_presentation(n), 3).gd for n in range(3, 7)}
+
+
+def _assert_fold_commutes_with_renaming(n, seed):
+    mapping, renamed = _renamed_presentation(cycle_z_presentation(n), seed)
+    assert renamed.generators() == ["w"]
+    got = fold_pipeline(renamed, 3).gd
+    assert _gd_shape(got) == _gd_shape(FOLD_RENAMED[n], mapping)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_fold_commutes_with_renaming(n):
+    for seed in range(8):
+        _assert_fold_commutes_with_renaming(n, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 6))
+def test_fold_commutes_with_renaming_hypothesis(seed, n):
+    _assert_fold_commutes_with_renaming(n, seed)
+
+
 def test_verify_gd_mutations(c6z_artifacts):
     from cliquedec.covers import GraphDecomposition
 
@@ -343,9 +407,5 @@ def test_theorem3_wheel_fails_both_sides():
 def test_gd_exports(c6z_artifacts):
     pres, win, _, td = c6z_artifacts
     gd = fold(pres, win, td)
-    dot = gd.to_dot()
-    assert dot.startswith("graph") and '"h0"' in dot
-    xml = gd.to_graphml()
-    assert "<graphml" in xml and "edge source" in xml
     data = gd.to_json_dict()
     assert set(data) == {"nodes", "edges", "coparts"}
