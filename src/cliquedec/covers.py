@@ -12,9 +12,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .chordal import clique_tree, maximal_cliques
+from .chordal import clique_tree, is_r_locally_chordal, maximal_cliques
 from .errors import (
     ActionMismatch,
     BallNotPreserved,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .graph import Graph, _json_list, _json_object, _json_pair
 from .nested import NestedSetLevels, construct_N
-from .separations import Separation
+from .separations import Separation, by_key
 from .treedec import (
     TreeDecomposition,
     _bags_are_maximal_cliques,
@@ -35,6 +35,10 @@ from .treedec import (
     build_td_from_nested,
     classify_td,
 )
+
+# r_acyclic_check tries every set of at most r base vertices when there are
+# at most this many, and samples this many otherwise.
+R_ACYCLIC_BUDGET = 200_000
 
 # -- free-group words ---------------------------------------------------
 
@@ -399,45 +403,26 @@ def lift_project_clique(
 # -- orbit-wise nested sets on periodic covers --------------------------
 
 
-def _normalize_vertex_set(win: CoverWindow, vs: Iterable[str]):
-    """Canonical form of a vertex set up to the deck action.
-
-    Each member's word inverse is tried as a left translation; the
-    lexicographically least translated picture is the orbit key.
+def _pictures(win: CoverWindow, anchors: Iterable[str], sets: Sequence[Iterable[str]]):
+    """The sets as seen from each anchor: translated by the deck element
+    that takes the anchor's word to the identity, each as its sorted
+    (base vertex, word) pairs.  The least picture over a deck-invariant
+    choice of anchors is a deck-orbit key.
     """
-    members = list(vs)
-    best = None
-    for m in members:
+    for m in anchors:
         t = word_inv(win.word_of[m])
-        pic = tuple(
-            sorted((win.base_of[x], word_mul(t, win.word_of[x])) for x in members)
+        yield tuple(
+            tuple(sorted((win.base_of[x], word_mul(t, win.word_of[x])) for x in xs))
+            for xs in sets
         )
-        if best is None or pic < best:
-            best = pic
-    return best
 
 
 def _separation_signature(win: CoverWindow, s: Separation):
     """Deck-orbit key of a separation from its separator's local picture."""
-    sep = sorted(s.separator)
-    nbrs = set()
-    for x in sep:
-        nbrs |= win.window.neighbors(x)
-    nbrs -= set(sep)
-    side_a = frozenset(nbrs & (s.sideA - s.sideB))
-    side_b = frozenset(nbrs & (s.sideB - s.sideA))
-    best = None
-    for m in sep:
-        t = word_inv(win.word_of[m])
-
-        def pic(xs):
-            return tuple(sorted((win.base_of[x], word_mul(t, win.word_of[x])) for x in xs))
-
-        sides = tuple(sorted((pic(side_a), pic(side_b))))
-        cand = (pic(sep), sides)
-        if best is None or cand < best:
-            best = cand
-    return best
+    sep = s.separator
+    nbrs = set().union(*(win.window.neighbors(x) for x in sep)) - sep
+    sides = (nbrs & (s.sideA - s.sideB), nbrs & (s.sideB - s.sideA))
+    return min((p, tuple(sorted(pa))) for p, *pa in _pictures(win, sep, (sep, *sides)))
 
 
 def _window_nested_set(pres: VoltagePresentation, L: int):
@@ -464,7 +449,7 @@ def periodic_N(pres: VoltagePresentation, L: int):
 
     def interior_signatures(w: CoverWindow, nested):
         sigs = {}
-        for s in sorted(nested.union):
+        for s in sorted(nested.union, key=by_key):
             if all(w.safe(x, 2) for x in s.separator):
                 sig = _separation_signature(w, s)
                 if sig not in sigs:
@@ -516,50 +501,43 @@ def fold(
     interior tree edges, bags are the projected bags, and each vertex's
     co-part is the projection of the node set of its most interior lift.
     """
-    g = pres.base
-    interior = {
-        t for t in td.tree.vertices if all(win.safe(x, 2) for x in td.bags[t])
+    orbit_key = {
+        t: min(_pictures(win, b, (b,)))
+        for t, b in td.bags.items()
+        if all(win.safe(x, 2) for x in b)
     }
-    orbit_key = {t: _normalize_vertex_set(win, td.bags[t]) for t in interior}
-    keys = sorted(set(orbit_key.values()))
-    names = {k: f"h{i}" for i, k in enumerate(keys)}
+    names = {k: f"h{i}" for i, k in enumerate(sorted(set(orbit_key.values())))}
+    name = {t: names[k] for t, k in orbit_key.items()}
 
     bags: Dict[str, FrozenSet[str]] = {}
-    for t in interior:
-        h = names[orbit_key[t]]
+    for t, h in name.items():
         projected = frozenset(win.base_of[x] for x in td.bags[t])
-        if h in bags and bags[h] != projected:
+        if bags.setdefault(h, projected) != projected:
             raise ActionMismatch(
                 f"orbit {h} projects to different bags; enlarge the window"
             )
-        bags[h] = projected
 
-    model_edges = set()
-    for t1, t2 in td.tree.edges():
-        if t1 in interior and t2 in interior:
-            h1, h2 = names[orbit_key[t1]], names[orbit_key[t2]]
-            if h1 == h2:
+    def project(edges):
+        out = set()
+        for t1, t2 in edges:
+            if name[t1] == name[t2]:
                 raise ActionMismatch("tree edge folds to a loop; enlarge the window")
-            model_edges.add(tuple(sorted((h1, h2))))
-    model = Graph([names[k] for k in keys], sorted(model_edges))
+            out.add(tuple(sorted((name[t1], name[t2]))))
+        return sorted(out)
 
+    interior_edges = [(a, b) for a, b in td.tree.edges() if a in name and b in name]
+    model = Graph(names.values(), project(interior_edges))
     coparts: Dict[str, Graph] = {}
-    for v in g.vertices:
-        lifts = [x for x in win.window.vertices if win.base_of[x] == v]
-        x0 = min(lifts, key=lambda x: (len(win.word_of[x]), x))
-        t_nodes = [t for t in td.tree.vertices if x0 in td.bags[t]]
-        if not all(t in interior for t in t_nodes):
+    for v in pres.base.vertices:
+        x0 = _vertex_id(v, IDENTITY)  # every window holds it; its word is the shortest
+        t_nodes = {t for t, b in td.bags.items() if x0 in b}
+        if not t_nodes <= name.keys():
             raise ActionMismatch(
                 f"the lift of {v!r} touches non-interior tree nodes; enlarge the window"
             )
-        sub_nodes = sorted({names[orbit_key[t]] for t in t_nodes}, key=model.key)
-        sub_edges = set()
-        for t1, t2 in td.tree.edges():
-            if t1 in t_nodes and t2 in t_nodes:
-                sub_edges.add(
-                    tuple(sorted((names[orbit_key[t1]], names[orbit_key[t2]])))
-                )
-        coparts[v] = Graph(sub_nodes, sorted(sub_edges))
+        sub_edges = [(a, b) for a, b in interior_edges if a in t_nodes and b in t_nodes]
+        sub_nodes = sorted({name[t] for t in t_nodes}, key=model.key)
+        coparts[v] = Graph(sub_nodes, project(sub_edges))
     return GraphDecomposition(model=model, bags=bags, coparts=coparts)
 
 
@@ -619,17 +597,12 @@ def verify_graph_decomposition(g: Graph, gd: GraphDecomposition) -> dict:
     return report
 
 
-def r_acyclic_check(
-    g: Graph,
-    gd: GraphDecomposition,
-    r: int,
-    budget: int = 200_000,
-    seed: int = 0,
-):
+def r_acyclic_check(g: Graph, gd: GraphDecomposition, r: int, seed: int = 0):
     """Is the union of every <= r co-parts acyclic?
 
-    Exhaustive over vertex subsets when their count fits the budget, else
-    a seeded random sample; the witness is (X, cycle) on failure.
+    Exhaustive over vertex subsets when their count fits R_ACYCLIC_BUDGET,
+    else that many subsets sampled with the given seed; the witness is
+    (X, cycle) on failure.
     """
     vs = list(g.vertices)
     missing = [v for v in vs if v not in gd.coparts]
@@ -637,7 +610,7 @@ def r_acyclic_check(
         raise PreconditionViolated(f"no co-part for the vertices {missing}")
     total = sum(math.comb(len(vs), k) for k in range(1, min(r, len(vs)) + 1))
     subsets: Iterable[Tuple[str, ...]]
-    exhaustive = total <= budget
+    exhaustive = total <= R_ACYCLIC_BUDGET
     if exhaustive:
         subsets = itertools.chain.from_iterable(
             itertools.combinations(vs, k) for k in range(1, min(r, len(vs)) + 1)
@@ -646,27 +619,27 @@ def r_acyclic_check(
         rng = random.Random(seed)
         subsets = (
             tuple(rng.sample(vs, rng.randint(1, min(r, len(vs)))))
-            for _ in range(budget)
+            for _ in range(R_ACYCLIC_BUDGET)
         )
     checked = 0
     for x in subsets:
         checked += 1
-        nodes = set()
-        edges = set()
+        union: Dict[str, Set[str]] = {}
         for v in x:
             sub = gd.coparts[v]
-            nodes |= set(sub.vertices)
-            edges |= {tuple(sorted(e)) for e in sub.edges()}
-        union = Graph(sorted(nodes), sorted(edges))
+            for h in sub.vertices:
+                union.setdefault(h, set()).update(sub.neighbors(h))
         cycle = _find_cycle(union)
         if cycle is not None:
             return False, {"X": list(x), "cycle": cycle, "exhaustive": exhaustive}
     return True, {"checked": checked, "exhaustive": exhaustive}
 
 
-def _find_cycle(g: Graph) -> Optional[List[str]]:
+def _find_cycle(adj: Dict[str, Set[str]]) -> Optional[List[str]]:
+    """A cycle of the graph given by neighbour sets, or None; vertices and
+    neighbours are visited in name order."""
     seen = set()
-    for root in g.vertices:
+    for root in sorted(adj):
         if root in seen:
             continue
         parent = {root: None}
@@ -674,7 +647,7 @@ def _find_cycle(g: Graph) -> Optional[List[str]]:
         seen.add(root)
         while stack:
             u = stack.pop()
-            for w in g.sorted(g.neighbors(u)):
+            for w in sorted(adj[u]):
                 if w not in parent:
                     parent[w] = u
                     seen.add(w)
@@ -704,8 +677,6 @@ def _root_path(parent, v):
 def theorem3_pipeline(g: Graph, r: int, cover: VoltagePresentation, L: int) -> dict:
     """Compare r-local chordality of g with the folded decomposition being
     into cliques; the two verdicts must agree."""
-    from .chordal import is_r_locally_chordal
-
     locally_chordal, witness = is_r_locally_chordal(g, r)
     report = {
         "r": r,

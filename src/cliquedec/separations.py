@@ -166,18 +166,17 @@ class _VertexFlow:
 
     def __init__(self, g: Graph, x: FrozenSet[str], y: FrozenSet[str]):
         self.g = g
-        self.x = frozenset(x)
-        self.y = frozenset(y)
-        self.inf = len(g) + 1
+        inf = len(g) + 1
         self.cap: Dict[Tuple, Dict[Tuple, int]] = {}
         for v in g.vertices:
             self._add_edge(("in", v), ("out", v), 1)
             for u in g.neighbors(v):
-                self._add_edge(("out", v), ("in", u), self.inf)
-        for v in self.x:
-            self._add_edge("s", ("in", v), self.inf)
-        for v in self.y:
-            self._add_edge(("out", v), "t", self.inf)
+                self._add_edge(("out", v), ("in", u), inf)
+        for v in x:
+            self._add_edge("s", ("in", v), inf)
+        for v in y:
+            self._add_edge(("out", v), "t", inf)
+        self.initial = {a: dict(caps) for a, caps in self.cap.items()}
         self.value = 0
         self._run()
 
@@ -226,11 +225,10 @@ class _VertexFlow:
     def disjoint_paths(self) -> List[List[str]]:
         """Decompose the flow into vertex-disjoint x-y paths (as vertex lists)."""
         flow_out: Dict[Tuple, List[Tuple]] = {}
-        for a in self.cap:
-            for b, c in self.cap[a].items():
-                orig = self._orig_cap(a, b)
-                if orig > 0 and c < orig:
-                    flow_out.setdefault(a, []).extend([b] * (orig - c))
+        for a, caps in self.initial.items():
+            for b, orig in caps.items():
+                if self.cap[a][b] < orig:
+                    flow_out.setdefault(a, []).extend([b] * (orig - self.cap[a][b]))
         paths = []
         for _ in range(self.value):
             path = []
@@ -242,17 +240,6 @@ class _VertexFlow:
                 node = flow_out[node].pop()
             paths.append(path)
         return paths
-
-    def _orig_cap(self, a, b) -> int:
-        if a == "s":
-            return self.inf if b[0] == "in" and b[1] in self.x else 0
-        if b == "t":
-            return self.inf if a[0] == "out" and a[1] in self.y else 0
-        if a[0] == "in" and b[0] == "out" and a[1] == b[1]:
-            return 1
-        if a[0] == "out" and b[0] == "in" and self.g.has_edge(a[1], b[1]):
-            return self.inf
-        return 0
 
 
 def min_clique_separator(g: Graph, x: Sequence[str], y: Sequence[str]):

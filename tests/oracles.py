@@ -1,7 +1,7 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with seven exceptions: `flow_min_separators` builds on the package's
+with nine exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
 and `classify`, which the separation tests check on their own,
@@ -9,9 +9,12 @@ and `classify`, which the separation tests check on their own,
 `closure_build_td` on the validation and post-checks of the tree
 construction it is compared against, `explicit_part` on
 `separation_from_separator`, `pairwise_construct_N` on `beta`
-(checked against `explicit_beta`), `crossing_count` and `relate`, and
+(checked against `explicit_beta`), `crossing_count` and `relate`,
 `hole_searching_maximal_cliques` on `is_chordal`, `clique_tree` and the
-Bron-Kerbosch search `_bron_kerbosch`.
+Bron-Kerbosch search `_bron_kerbosch`, `scan_fold` and
+`scan_separation_signature` on the cover's word algebra, its window
+record and the `GraphDecomposition` type, and `subgraph_verify_td` on the
+tree check `_check_tree`.
 `orientation_relate` is `relate` as it was before it became one boolean
 expression: a loop over the orientations of both separations as tuples.
 `explicit_part` is one bottleneck part as it was built before its
@@ -28,6 +31,13 @@ one induced subgraph per probed path u-v-w, and one ball subgraph per
 centre, decided by the kernels above.  `hole_searching_maximal_cliques`
 is `maximal_cliques(require_chordal=False)` as it was before it skipped
 the hole search.
+`scan_fold` is `fold` as it was before one deck-orbit key served bags and
+separations: each bag keyed by the least picture over its members' word
+inverses, model and co-part edges projected by separate loops, and each
+vertex's lift found by a scan of the window for its shortest word.
+`scan_separation_signature` is the separation key of that time, written
+out on its own.  `subgraph_verify_td` is `verify_td` as it was before it
+counted: one induced subtree per vertex, tested for connectivity.
 Values produced by these functions are compared against the package's
 own algorithms.
 """
@@ -47,11 +57,20 @@ from cliquedec.chordal import (
     is_chordal,
     maximal_cliques,
 )
+from cliquedec.covers import (
+    CoverWindow,
+    GraphDecomposition,
+    VoltagePresentation,
+    word_inv,
+    word_mul,
+)
 from cliquedec.errors import (
+    ActionMismatch,
     EmptyBottleneckSelection,
     ImproperSeparation,
     InvariantViolation,
     NestednessViolation,
+    NotATree,
     NotNested,
     PreconditionViolated,
 )
@@ -780,3 +799,120 @@ def pairwise_construct_N(g: Graph) -> NestedSetLevels:
         result.levels[k] = chosen_level
         result.union |= chosen_level
     return result
+
+
+def _scan_orbit_key(win: CoverWindow, vs: Iterable[str]):
+    """Least picture of a vertex set over its members' word inverses."""
+    members = list(vs)
+    best = None
+    for m in members:
+        t = word_inv(win.word_of[m])
+        pic = tuple(
+            sorted((win.base_of[x], word_mul(t, win.word_of[x])) for x in members)
+        )
+        if best is None or pic < best:
+            best = pic
+    return best
+
+
+def scan_separation_signature(win: CoverWindow, s: Separation):
+    """Deck-orbit key of a separation: the least (separator picture, sorted
+    side pictures) over the separator's members' word inverses."""
+    sep = sorted(s.separator)
+    nbrs = set()
+    for x in sep:
+        nbrs |= win.window.neighbors(x)
+    nbrs -= set(sep)
+    side_a = frozenset(nbrs & (s.sideA - s.sideB))
+    side_b = frozenset(nbrs & (s.sideB - s.sideA))
+    best = None
+    for m in sep:
+        t = word_inv(win.word_of[m])
+
+        def pic(xs):
+            return tuple(sorted((win.base_of[x], word_mul(t, win.word_of[x])) for x in xs))
+
+        sides = tuple(sorted((pic(side_a), pic(side_b))))
+        cand = (pic(sep), sides)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def scan_fold(
+    pres: VoltagePresentation, win: CoverWindow, td: TreeDecomposition
+) -> GraphDecomposition:
+    """The deck quotient of td: interior nodes keyed by `_scan_orbit_key`,
+    model and co-part edges projected separately, and each vertex's lift
+    found as the shortest-word lift by a scan of the window."""
+    g = pres.base
+    interior = {
+        t for t in td.tree.vertices if all(win.safe(x, 2) for x in td.bags[t])
+    }
+    orbit_key = {t: _scan_orbit_key(win, td.bags[t]) for t in interior}
+    keys = sorted(set(orbit_key.values()))
+    names = {k: f"h{i}" for i, k in enumerate(keys)}
+
+    bags: Dict[str, FrozenSet[str]] = {}
+    for t in interior:
+        h = names[orbit_key[t]]
+        projected = frozenset(win.base_of[x] for x in td.bags[t])
+        if h in bags and bags[h] != projected:
+            raise ActionMismatch(
+                f"orbit {h} projects to different bags; enlarge the window"
+            )
+        bags[h] = projected
+
+    model_edges = set()
+    for t1, t2 in td.tree.edges():
+        if t1 in interior and t2 in interior:
+            h1, h2 = names[orbit_key[t1]], names[orbit_key[t2]]
+            if h1 == h2:
+                raise ActionMismatch("tree edge folds to a loop; enlarge the window")
+            model_edges.add(tuple(sorted((h1, h2))))
+    model = Graph([names[k] for k in keys], sorted(model_edges))
+
+    coparts: Dict[str, Graph] = {}
+    for v in g.vertices:
+        lifts = [x for x in win.window.vertices if win.base_of[x] == v]
+        x0 = min(lifts, key=lambda x: (len(win.word_of[x]), x))
+        t_nodes = [t for t in td.tree.vertices if x0 in td.bags[t]]
+        if not all(t in interior for t in t_nodes):
+            raise ActionMismatch(
+                f"the lift of {v!r} touches non-interior tree nodes; enlarge the window"
+            )
+        sub_nodes = sorted({names[orbit_key[t]] for t in t_nodes}, key=model.key)
+        sub_edges = set()
+        for t1, t2 in td.tree.edges():
+            if t1 in t_nodes and t2 in t_nodes:
+                sub_edges.add(
+                    tuple(sorted((names[orbit_key[t1]], names[orbit_key[t2]])))
+                )
+        coparts[v] = Graph(sub_nodes, sorted(sub_edges))
+    return GraphDecomposition(model=model, bags=bags, coparts=coparts)
+
+
+def subgraph_verify_td(g: Graph, td: TreeDecomposition) -> dict:
+    """Coverage and connectivity of a tree-decomposition, testing each
+    vertex's node set by building the induced subtree."""
+    _check_tree(td.tree)
+    if set(td.bags) != set(td.tree.vertices):
+        raise NotATree("bags and tree nodes do not match")
+    bags = list(td.bags.values())
+    covered = frozenset().union(*bags)
+    report = {
+        "ok": True,
+        "uncovered_vertices": [v for v in g.vertices if v not in covered],
+        "uncovered_edges": [
+            (u, v) for u, v in g.edges() if not any(u in b and v in b for b in bags)
+        ],
+        "disconnected": [],
+    }
+    for v in g.vertices:
+        nodes = [t for t in td.tree.vertices if v in td.bags[t]]
+        if nodes and not td.tree.induced(nodes).is_connected():
+            report["disconnected"].append(v)
+    report["ok"] = not (
+        report["uncovered_vertices"] or report["uncovered_edges"] or report["disconnected"]
+    )
+    return report

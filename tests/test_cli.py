@@ -320,6 +320,14 @@ def test_fold_rejects_nonchordal_window(tmp_path, capsys):
         assert captured.err.startswith("error: window at L=4 has a hole: ")
 
 
+def test_fold_rejects_a_window_too_small_for_the_lifts(tmp_path, capsys):
+    vf = _write_voltage(tmp_path, cycle_z_presentation(6))
+    assert main(["fold", "--voltage", vf, "-L", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the lift of 'v0' touches non-interior tree nodes")
+
+
 def test_r_acyclic(tmp_path, capsys):
     vf = _write_voltage(tmp_path, cycle_z_presentation(6))
     gf = _write_graph(tmp_path, cycle(6))

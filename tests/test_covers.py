@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquedec import covers
 from cliquedec.covers import (
     IDENTITY,
     VoltagePresentation,
@@ -26,6 +27,7 @@ from cliquedec.covers import (
     word_str,
 )
 from cliquedec.errors import (
+    ActionMismatch,
     BallNotPreserved,
     NotAClique,
     PreconditionViolated,
@@ -40,6 +42,9 @@ from cliquedec.instances import (
 )
 from cliquedec.nested import construct_N
 from cliquedec.treedec import build_td_from_nested, classify_td
+
+from oracles import scan_fold, scan_separation_signature
+from test_chordal import _graphs_built
 
 
 # -- words --------------------------------------------------------------
@@ -215,6 +220,13 @@ def test_long_window_folds_as_the_short_one():
     assert stable and len(reps) == 6
 
 
+@pytest.mark.parametrize("L", range(4, 11))
+def test_separation_signature_matches_scan_oracle(L):
+    win, n = covers._window_nested_set(cycle_z_presentation(6), L)
+    for s in n.union:
+        assert covers._separation_signature(win, s) == scan_separation_signature(win, s)
+
+
 def test_periodic_N_c3_chordal_but_not_ball_preserving():
     reps, stable = periodic_N(cycle_z_presentation(3), 4)
     assert stable and len(reps) == 3
@@ -251,6 +263,39 @@ def test_fold_identity_two_triangles():
     assert len(gd.model) == 2 and gd.model.edge_count() == 1
     assert set(gd.bags.values()) == {frozenset("abc"), frozenset("bcd")}
     assert verify_graph_decomposition(g, gd)["ok"]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_fold_matches_scan_oracle_on_cycle_covers(n):
+    pres = cycle_z_presentation(n)
+    for L in range(3, 7):
+        res = fold_pipeline(pres, L)
+        want = scan_fold(pres, res.window, res.td).to_json_dict()
+        assert res.gd.to_json_dict() == want
+
+
+def test_fold_matches_scan_oracle_on_identity_covers():
+    pres = identity_presentation(two_triangles())
+    res = fold_pipeline(pres, 6)
+    want = scan_fold(pres, res.window, res.td).to_json_dict()
+    assert res.gd.to_json_dict() == want
+    # the wheel's window has a hole: fold the tree of a triangulation instead
+    pres = identity_presentation(wheel())
+    win = derive_window(pres, 6)
+    filled = Graph(win.window.vertices, win.window.edges() + [("r0@1", "r2@1")])
+    td = build_td_from_nested(filled, construct_N(filled).union)
+    want = scan_fold(pres, win, td).to_json_dict()
+    assert len(want["nodes"]) == 2
+    assert fold(pres, win, td).to_json_dict() == want
+
+
+@pytest.mark.parametrize("L", [0, 1, 2])
+def test_fold_needs_the_lifts_inside_the_window(L):
+    message = "the lift of 'v0' touches non-interior tree nodes; enlarge the window"
+    for n in range(3, 9):
+        with pytest.raises(ActionMismatch) as info:
+            fold_pipeline(cycle_z_presentation(n), L)
+        assert str(info.value) == message
 
 
 def _fold_step_by_step(pres, L):
@@ -369,6 +414,22 @@ def test_r_acyclic_c6(c6z_artifacts):
     assert not flag
     assert sorted(info["X"]) == [f"v{i}" for i in range(6)]
     assert len(info["cycle"]) == 6
+
+
+def test_r_acyclic_samples_past_its_budget(c6z_artifacts, monkeypatch):
+    pres, win, _, td = c6z_artifacts
+    gd = fold(pres, win, td)
+    # 41 sets of at most 3 of the 6 base vertices: more than the budget
+    monkeypatch.setattr(covers, "R_ACYCLIC_BUDGET", 7)
+    first = r_acyclic_check(cycle(6), gd, 3)
+    assert first == (True, {"checked": 7, "exhaustive": False})
+    assert r_acyclic_check(cycle(6), gd, 3) == first
+
+
+def test_r_acyclic_builds_no_graphs(c6z_artifacts, monkeypatch):
+    pres, win, _, td = c6z_artifacts
+    g, gd = cycle(6), fold(pres, win, td)
+    assert _graphs_built(monkeypatch, lambda: r_acyclic_check(g, gd, 6)) == 0
 
 
 def test_r_acyclic_tree_model():

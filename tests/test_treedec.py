@@ -42,7 +42,8 @@ from cliquedec.treedec import (
     verify_td,
 )
 
-from oracles import closure_build_td, nx_chordal_cliques
+from oracles import closure_build_td, nx_chordal_cliques, subgraph_verify_td
+from test_chordal import _graphs_built
 
 
 def _td(tree_edges, bags, isolated=()):
@@ -83,6 +84,46 @@ def test_verify_td_not_a_tree():
     )
     with pytest.raises(NotATree):
         verify_td(g, bad)
+
+
+def _inner_bag_drops(td):
+    """Copies of td with one vertex dropped from the bag of one inner node."""
+    for t in td.tree.vertices:
+        if td.tree.degree(t) > 1:
+            for v in sorted(td.bags[t]):
+                yield TreeDecomposition(tree=td.tree, bags={**td.bags, t: td.bags[t] - {v}})
+
+
+def test_verify_td_matches_subgraph_oracle_on_suite1(suite1):
+    disconnected = 0
+    for g, res in suite1:
+        td = res["td"]
+        assert verify_td(g, td) == subgraph_verify_td(g, td)
+        for bad in _inner_bag_drops(td):
+            report = verify_td(g, bad)
+            assert report == subgraph_verify_td(g, bad)
+            disconnected += bool(report["disconnected"])
+    assert disconnected > 100
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_verify_td_matches_subgraph_oracle_hypothesis(data):
+    vs = [f"v{i}" for i in range(data.draw(st.integers(1, 8)))]
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    k = data.draw(st.integers(1, 8))
+    tree_edges = [(f"t{data.draw(st.integers(0, i - 1))}", f"t{i}") for i in range(1, k)]
+    bags = {f"t{i}": data.draw(st.frozensets(st.sampled_from(vs))) for i in range(k)}
+    g = Graph(vs, edges)
+    td = _td(tree_edges, bags)
+    assert verify_td(g, td) == subgraph_verify_td(g, td)
+
+
+def test_verify_td_builds_no_graphs(monkeypatch):
+    g = ktree(60, 3)
+    td = build_td_from_nested(g, construct_N(g).union)
+    assert _graphs_built(monkeypatch, lambda: verify_td(g, td)) == 0
 
 
 def test_induced_separation_examples():
