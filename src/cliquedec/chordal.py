@@ -273,22 +273,20 @@ def minimal_separators(g: Graph) -> List[FrozenSet[str]]:
     """
     candidates = set()
     queue = []
-    for v in g.vertices:
-        closed = set(g.neighbors(v)) | {v}
-        for comp, _ in g.components_after_deletion(closed & set(g.vertices)):
+
+    def add_neighborhoods(deleted):
+        for comp, _ in g.components_after_deletion(deleted):
             nbhd = frozenset().union(*(g.neighbors(u) for u in comp)) - comp
             if nbhd and nbhd not in candidates:
                 candidates.add(nbhd)
                 queue.append(nbhd)
+
+    for v in g.vertices:
+        add_neighborhoods(g.neighbors(v) | {v})
     while queue:
         s = queue.pop()
         for x in s:
-            blocked = set(s) | set(g.neighbors(x))
-            for comp, _ in g.components_after_deletion(blocked & set(g.vertices)):
-                nbhd = frozenset().union(*(g.neighbors(u) for u in comp)) - comp
-                if nbhd and nbhd not in candidates:
-                    candidates.add(nbhd)
-                    queue.append(nbhd)
+            add_neighborhoods(s | g.neighbors(x))
     tight = [
         s
         for s in candidates

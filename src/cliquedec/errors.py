@@ -63,10 +63,6 @@ class EmptyBottleneckSelection(CliquedecError):
     """No selectable separation in a bottleneck; indicates a bug, never expected."""
 
 
-class OrbitNotMatching(CliquedecError):
-    """An edge orbit scheduled for contraction is not a matching in the tree."""
-
-
 class PreconditionViolated(CliquedecError):
     pass
 

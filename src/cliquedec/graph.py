@@ -277,17 +277,4 @@ def from_edge_list(pairs: Sequence[Tuple[str, str]], isolated: Sequence[str] = (
     Vertex set is the union of endpoints plus explicitly declared isolated
     vertices; a pair with equal endpoints raises LoopEdge.
     """
-    vertices: List[str] = []
-    seen = set()
-    for u, v in pairs:
-        if u == v:
-            raise LoopEdge(f"loop at {u!r}")
-        for w in (u, v):
-            if w not in seen:
-                seen.add(w)
-                vertices.append(w)
-    for w in isolated:
-        if w not in seen:
-            seen.add(w)
-            vertices.append(w)
-    return Graph(vertices, pairs)
+    return Graph([w for e in pairs for w in e] + list(isolated), pairs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .chordal import maximal_cliques
 from .errors import (
@@ -19,7 +19,6 @@ from .errors import (
     NotAClique,
     NotATree,
     NotNested,
-    OrbitNotMatching,
     PreconditionViolated,
 )
 from .graph import Graph, _json_list, _json_object, _json_pair, _json_strings
@@ -56,6 +55,8 @@ class TreeDecomposition:
                 raise ValueError(f"node JSON lacks the fields {sorted(missing)}")
             if not isinstance(node["id"], str):
                 raise ValueError(f"node JSON 'id' must be a string, got {node['id']!r}")
+            if node["id"] in bags:
+                raise ValueError(f"tree-decomposition JSON repeats the node id {node['id']!r}")
             bags[node["id"]] = frozenset(_json_strings(node["bag"], "node JSON 'bag'"))
         edges = _json_list(data.get("edges", []), "tree-decomposition JSON 'edges'")
         pairs = [_json_pair(e, "a tree-decomposition edge") for e in edges]
@@ -81,10 +82,14 @@ def _check_tree(t: Graph) -> None:
 def _uncovered(
     g: Graph, bags: Sequence[FrozenSet[str]]
 ) -> Tuple[List[str], List[Tuple[str, str]]]:
-    """The vertices and the edges of g that lie in no bag."""
-    covered = frozenset().union(*bags)
-    vertices = [v for v in g.vertices if v not in covered]
-    edges = [(u, v) for u, v in g.edges() if not any(u in b and v in b for b in bags)]
+    """The vertices and the edges of g that lie in no bag: an edge lies in
+    a bag iff the bitmasks of the bags holding its two ends meet."""
+    holding: Dict[str, int] = {}
+    for i, b in enumerate(bags):
+        for v in b:
+            holding[v] = holding.get(v, 0) | 1 << i
+    vertices = [v for v in g.vertices if v not in holding]
+    edges = [(u, v) for u, v in g.edges() if not holding.get(u, 0) & holding.get(v, 0)]
     return vertices, edges
 
 
@@ -242,38 +247,21 @@ def clique_in_bag(g: Graph, td: TreeDecomposition, k: Iterable[str]) -> str:
 
 
 def contract_to_maximal(
-    g: Graph,
-    td: TreeDecomposition,
-    orbits: Optional[Sequence[Sequence[Tuple[str, str]]]] = None,
-    orbit_order: str = "canonical",
+    g: Graph, td: TreeDecomposition, orbit_order: str = "canonical"
 ) -> TreeDecomposition:
-    """Contract edge orbits with comparable bags until none remain.
+    """Contract tree edges whose two bags are nested until none remain.
 
-    Orbits partition the tree edges (default: singletons, the trivial
-    group).  An orbit is contracted only if its edges form a matching;
-    bags merge by union.  The result has no bag contained in a
-    neighboring bag, hence is into maximal cliques when td was into
-    cliques and regular.
+    The edges are taken in the order of their sorted node names, in passes
+    until one contracts nothing; a contracted edge's bags merge by union.
+    The result has no bag contained in a neighboring bag, hence is into
+    maximal cliques when td was into cliques and regular.  Which cliques
+    end up adjacent depends on the node names: by Example 5.1 no canonical
+    decomposition into maximal cliques exists in general.  "canonical" is
+    the only orbit_order.
     """
+    if orbit_order != "canonical":
+        raise ValueError("orbit_order must be 'canonical'")
     _check_tree(td.tree)
-    if orbits is None:
-        orbits = [[e] for e in td.tree.edges()]
-    seen_edges = set()
-    for orbit in orbits:
-        for u, v in orbit:
-            if not td.tree.has_edge(u, v):
-                raise ValueError(f"({u!r}, {v!r}) is not a tree edge")
-            seen_edges.add(frozenset((u, v)))
-    if len(seen_edges) != td.tree.edge_count():
-        raise ValueError("orbits must partition the tree edges")
-
-    if orbit_order == "canonical":
-        orbits = sorted(
-            (sorted(tuple(sorted(e)) for e in orbit) for orbit in orbits),
-        )
-    elif orbit_order != "input":
-        raise ValueError("orbit_order must be 'canonical' or 'input'")
-
     parent = {t: t for t in td.tree.vertices}
 
     def find(t):
@@ -283,39 +271,20 @@ def contract_to_maximal(
         return t
 
     bags = dict(td.bags)
-
+    edges = sorted(tuple(sorted(e)) for e in td.tree.edges())
     changed = True
     while changed:
         changed = False
-        for orbit in orbits:
-            live = [
-                (find(u), find(v)) for u, v in orbit if find(u) != find(v)
-            ]
-            if not live:
-                continue
-            ru, rv = live[0]
-            if not (bags[ru] <= bags[rv] or bags[rv] <= bags[ru]):
-                continue
-            endpoints = [t for e in live for t in e]
-            if len(endpoints) != len(set(endpoints)):
-                raise OrbitNotMatching(
-                    "orbit edges share a node; the action is not free on cliques"
-                )
-            for a, b in live:
-                merged = bags[a] | bags[b]
+        for u, v in edges:
+            a, b = find(u), find(v)
+            if a != b and (bags[a] <= bags[b] or bags[b] <= bags[a]):
                 parent[a] = b
-                bags[b] = merged
+                bags[b] = bags[a] | bags[b]
                 changed = True
 
-    roots = sorted({find(t) for t in td.tree.vertices}, key=td.tree.key)
-    new_edges = set()
-    for u, v in td.tree.edges():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            new_edges.add((ru, rv) if td.tree.key(ru) < td.tree.key(rv) else (rv, ru))
-    out = TreeDecomposition(
-        tree=Graph(roots, sorted(new_edges)), bags={t: bags[t] for t in roots}
-    )
+    roots = [t for t in td.tree.vertices if find(t) == t]
+    tree = Graph(roots, [(find(u), find(v)) for u, v in td.tree.edges() if find(u) != find(v)])
+    out = TreeDecomposition(tree=tree, bags={t: bags[t] for t in roots})
     _check_tree(out.tree)
     for u, v in out.tree.edges():
         if out.bags[u] <= out.bags[v] or out.bags[v] <= out.bags[u]:

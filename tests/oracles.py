@@ -38,6 +38,13 @@ vertex's lift found by a scan of the window for its shortest word.
 `scan_separation_signature` is the separation key of that time, written
 out on its own.  `subgraph_verify_td` is `verify_td` as it was before it
 counted: one induced subtree per vertex, tested for connectivity.
+`scan_uncovered` is the coverage test as it was before it indexed the
+bags holding each vertex: every bag scanned for every edge.
+`orbit_contract_to_maximal` is `contract_to_maximal` as it was before it
+contracted single edges only: it takes a partition of the tree edges into
+orbits, contracts an orbit only if it is a matching, and raises its own
+`OrbitNotMatching` otherwise; like `closure_build_td` it uses the tree
+check `_check_tree`.
 Values produced by these functions are compared against the package's
 own algorithms.
 """
@@ -66,6 +73,7 @@ from cliquedec.covers import (
 )
 from cliquedec.errors import (
     ActionMismatch,
+    CliquedecError,
     EmptyBottleneckSelection,
     ImproperSeparation,
     InvariantViolation,
@@ -898,14 +906,11 @@ def subgraph_verify_td(g: Graph, td: TreeDecomposition) -> dict:
     _check_tree(td.tree)
     if set(td.bags) != set(td.tree.vertices):
         raise NotATree("bags and tree nodes do not match")
-    bags = list(td.bags.values())
-    covered = frozenset().union(*bags)
+    uncovered_vertices, uncovered_edges = scan_uncovered(g, list(td.bags.values()))
     report = {
         "ok": True,
-        "uncovered_vertices": [v for v in g.vertices if v not in covered],
-        "uncovered_edges": [
-            (u, v) for u, v in g.edges() if not any(u in b and v in b for b in bags)
-        ],
+        "uncovered_vertices": uncovered_vertices,
+        "uncovered_edges": uncovered_edges,
         "disconnected": [],
     }
     for v in g.vertices:
@@ -916,3 +921,101 @@ def subgraph_verify_td(g: Graph, td: TreeDecomposition) -> dict:
         report["uncovered_vertices"] or report["uncovered_edges"] or report["disconnected"]
     )
     return report
+
+
+def scan_uncovered(
+    g: Graph, bags: Sequence[FrozenSet[str]]
+) -> Tuple[List[str], List[Tuple[str, str]]]:
+    """The vertices and the edges of g that lie in no bag."""
+    covered = frozenset().union(*bags)
+    vertices = [v for v in g.vertices if v not in covered]
+    edges = [(u, v) for u, v in g.edges() if not any(u in b and v in b for b in bags)]
+    return vertices, edges
+
+
+class OrbitNotMatching(CliquedecError):
+    """An edge orbit scheduled for contraction is not a matching in the tree."""
+
+
+def orbit_contract_to_maximal(
+    g: Graph,
+    td: TreeDecomposition,
+    orbits: Optional[Sequence[Sequence[Tuple[str, str]]]] = None,
+    orbit_order: str = "canonical",
+) -> TreeDecomposition:
+    """Contract edge orbits with comparable bags until none remain.
+
+    Orbits partition the tree edges (default: singletons, the trivial
+    group).  An orbit is contracted only if its edges form a matching;
+    bags merge by union.  The result has no bag contained in a
+    neighboring bag, hence is into maximal cliques when td was into
+    cliques and regular.
+    """
+    _check_tree(td.tree)
+    if orbits is None:
+        orbits = [[e] for e in td.tree.edges()]
+    seen_edges = set()
+    for orbit in orbits:
+        for u, v in orbit:
+            if not td.tree.has_edge(u, v):
+                raise ValueError(f"({u!r}, {v!r}) is not a tree edge")
+            seen_edges.add(frozenset((u, v)))
+    if len(seen_edges) != td.tree.edge_count():
+        raise ValueError("orbits must partition the tree edges")
+
+    if orbit_order == "canonical":
+        orbits = sorted(
+            (sorted(tuple(sorted(e)) for e in orbit) for orbit in orbits),
+        )
+    elif orbit_order != "input":
+        raise ValueError("orbit_order must be 'canonical' or 'input'")
+
+    parent = {t: t for t in td.tree.vertices}
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    bags = dict(td.bags)
+
+    changed = True
+    while changed:
+        changed = False
+        for orbit in orbits:
+            live = [
+                (find(u), find(v)) for u, v in orbit if find(u) != find(v)
+            ]
+            if not live:
+                continue
+            ru, rv = live[0]
+            if not (bags[ru] <= bags[rv] or bags[rv] <= bags[ru]):
+                continue
+            endpoints = [t for e in live for t in e]
+            if len(endpoints) != len(set(endpoints)):
+                raise OrbitNotMatching(
+                    "orbit edges share a node; the action is not free on cliques"
+                )
+            for a, b in live:
+                merged = bags[a] | bags[b]
+                parent[a] = b
+                bags[b] = merged
+                changed = True
+
+    roots = sorted({find(t) for t in td.tree.vertices}, key=td.tree.key)
+    new_edges = set()
+    for u, v in td.tree.edges():
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            new_edges.add((ru, rv) if td.tree.key(ru) < td.tree.key(rv) else (rv, ru))
+    out = TreeDecomposition(
+        tree=Graph(roots, sorted(new_edges)), bags={t: bags[t] for t in roots}
+    )
+    _check_tree(out.tree)
+    for u, v in out.tree.edges():
+        if out.bags[u] <= out.bags[v] or out.bags[v] <= out.bags[u]:
+            raise InvariantViolation(
+                f"neighboring bags {u!r} and {v!r} are nested after contraction"
+            )
+    return out

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cliquedec import cli, symmetry
+from cliquedec import cli, covers, symmetry, treedec
 from cliquedec.cli import main, reproduce_example_51
 from cliquedec.covers import fold_pipeline, r_acyclic_check
 from cliquedec.errors import PreconditionViolated
@@ -123,12 +123,20 @@ _PRES = cycle_z_presentation(6).to_json_dict()
         ("verify-td", {"nodes": [{"id": "t0", "bag": 5}], "edges": []}, "'bag'"),
         ("verify-td", {"nodes": [{"id": 3, "bag": ["v0"]}], "edges": []}, "'id'"),
         ("verify-td", [_TD_NODE], "tree-decomposition JSON must be an object"),
+        (
+            "verify-td",
+            {"nodes": [{"id": "t0", "bag": ["v0"]}, _TD_NODE], "edges": []},
+            "repeats the node id 't0'",
+        ),
         ("fold", {**_PRES, "voltages": [{**_PRES["voltages"][0], "word": 7}]}, "'word'"),
         ("check-chordal", {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, "graph edge"),
         ("check-chordal", {"vertices": [], "edges": [[1, 2]]}, "graph edge"),
         ("check-chordal", {"vertices": "abc", "edges": []}, "'vertices'"),
     ],
-    ids=["td-edge", "td-bag", "td-id", "td-list", "word", "edge-list", "edge-ints", "vertices"],
+    ids=[
+        "td-edge", "td-bag", "td-id", "td-list", "td-repeated-id",
+        "word", "edge-list", "edge-ints", "vertices",
+    ],
 )
 def test_malformed_json_is_an_input_error(tmp_path, capsys, command, data, field):
     bad = tmp_path / "bad.json"
@@ -222,24 +230,26 @@ def test_canonical_td_and_maximal_td(tmp_path, capsys):
 
 def test_maximal_td_searches_no_automorphisms(tmp_path, capsys, monkeypatch):
     def refuse(*args):
-        pytest.fail("maximal-td searched automorphisms or checked canonicity")
+        pytest.fail("maximal-td searched automorphisms, checked canonicity or classified")
 
     monkeypatch.setattr(cli, "automorphism_generators", refuse)
     monkeypatch.setattr(cli, "verify_canonical_td", refuse)
+    for module in (cli, covers, symmetry, treedec):
+        monkeypatch.setattr(module, "classify_td", refuse, raising=False)
     assert main(["maximal-td", "--in", _write_graph(tmp_path, star(6)), "--json"]) == 0
     assert _json_out(capsys)["into_maximal_cliques"]
 
 
 def test_canonical_td_classifies_the_tree_once(tmp_path, capsys, monkeypatch):
     calls = []
-    real = cli.classify_td
+    real = treedec.classify_td
 
     def counted(g, td):
         calls.append(td)
         return real(g, td)
 
-    monkeypatch.setattr(cli, "classify_td", counted)
-    monkeypatch.setattr(symmetry, "classify_td", counted)
+    for module in (cli, symmetry):
+        monkeypatch.setattr(module, "classify_td", counted, raising=False)
     f = _write_graph(tmp_path, ktree(12, 3, seed=1))
     assert main(["canonical-td", "--in", f, "--json"]) == 0
     assert _json_out(capsys)["regular"]
@@ -402,6 +412,7 @@ def test_reproduce_example(capsys):
     assert rep["candidate_trees"] == 16 and rep["canonical_into_maximal"] == 0
 
     assert main(["reproduce", "example-5.1", "-t", "2"]) == 2
+    assert main(["reproduce", "example-5.2"]) == 2
     capsys.readouterr()
 
 

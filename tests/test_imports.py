@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-private module-level function or class is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+private module-level function or class is used somewhere in the package,
+and every exception class that `errors.py` defines is raised somewhere.
 
 `__init__.py` is left out of the import check: its imports are the
 package's exports.
@@ -86,17 +87,24 @@ def test_unreferenced_private_definitions_are_found():
     assert unreferenced_private(sources) == [("a.py", "_orphan")]
 
 
-def untyped_invariants(source: str) -> list:
-    """Lines of assert statements and of raises of a bare AssertionError."""
+def raised_names(source: str) -> list:
+    """(line, name) of each raise statement that names its exception class."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        exc = getattr(node, "exc", None)
-        if isinstance(exc, ast.Call):
-            exc = exc.func
-        raises_it = isinstance(exc, ast.Name) and exc.id == "AssertionError"
-        if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and raises_it):
-            found.append(node.lineno)
+        if not isinstance(node, ast.Raise):
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name):
+            found.append((node.lineno, exc.id))
     return found
+
+
+def untyped_invariants(source: str) -> list:
+    """Lines of assert statements and of raises of a bare AssertionError."""
+    tree = ast.parse(source)
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    raises = [line for line, name in raised_names(source) if name == "AssertionError"]
+    return sorted(asserts + raises)
 
 
 def test_untyped_invariants_are_found():
@@ -118,3 +126,33 @@ def test_no_assert_statements_in_src():
 def test_every_private_definition_is_used():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def unraised_errors(errors_source: str, sources: dict) -> list:
+    """Exception classes that errors_source defines, other than the base
+    class CliquedecError, that no raise statement in sources names."""
+    raised = {name for source in sources.values() for _, name in raised_names(source)}
+    return [
+        node.name
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+        and node.name != "CliquedecError"
+        and node.name not in raised
+    ]
+
+
+def test_unraised_errors_are_found():
+    names = ("Called", "Bare", "OnlyCaught")
+    errors = "class CliquedecError(Exception):\n    pass\n\n" + "".join(
+        f"class {name}(CliquedecError):\n    pass\n\n" for name in names
+    )
+    sources = {
+        "a.py": "def f():\n    raise Called('x')\n\ndef g():\n    raise Bare\n",
+        "b.py": "try:\n    f()\nexcept OnlyCaught:\n    pass\n",
+    }
+    assert unraised_errors(errors, sources) == ["OnlyCaught"]
+
+
+def test_every_error_class_is_raised():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unraised_errors(sources["errors.py"], sources) == []

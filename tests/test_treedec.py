@@ -42,8 +42,15 @@ from cliquedec.treedec import (
     verify_td,
 )
 
-from oracles import closure_build_td, nx_chordal_cliques, subgraph_verify_td
+from oracles import (
+    closure_build_td,
+    nx_chordal_cliques,
+    orbit_contract_to_maximal,
+    scan_uncovered,
+    subgraph_verify_td,
+)
 from test_chordal import _graphs_built
+from test_symmetry import _windmill
 
 
 def _td(tree_edges, bags, isolated=()):
@@ -118,6 +125,38 @@ def test_verify_td_matches_subgraph_oracle_hypothesis(data):
     g = Graph(vs, edges)
     td = _td(tree_edges, bags)
     assert verify_td(g, td) == subgraph_verify_td(g, td)
+
+
+def _bag_damages(td):
+    """Copies of td's bag list with one bag dropped, and with one vertex
+    removed from one bag."""
+    bags = list(td.bags.values())
+    for i, b in enumerate(bags):
+        yield bags[:i] + bags[i + 1 :]
+        for v in sorted(b):
+            yield bags[:i] + [b - {v}] + bags[i + 1 :]
+
+
+def test_uncovered_matches_scan_oracle_on_suite1(suite1):
+    uncovered_edges = 0
+    for g, res in suite1:
+        for bags in [list(res["td"].bags.values()), *_bag_damages(res["td"])]:
+            got = treedec._uncovered(g, bags)
+            assert got == scan_uncovered(g, bags)
+            uncovered_edges += bool(got[1])
+    assert uncovered_edges > 100
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_uncovered_matches_scan_oracle_hypothesis(data):
+    vs = [f"v{i}" for i in range(data.draw(st.integers(1, 8)))]
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # bags may name vertices that g lacks
+    bags = data.draw(st.lists(st.frozensets(st.sampled_from(vs + ["x"])), max_size=8))
+    g = Graph(vs, edges)
+    assert treedec._uncovered(g, bags) == scan_uncovered(g, bags)
 
 
 def test_verify_td_builds_no_graphs(monkeypatch):
@@ -301,12 +340,39 @@ def test_contract_matches_clique_tree_oracle():
         assert verify_td(g, out)["ok"]
 
 
-def test_contract_orbit_order_input():
+def test_contract_has_one_orbit_order():
     g = star(3)
     td = build_td_from_nested(g, construct_N(g).union)
-    edges = td.tree.edges()
-    out = contract_to_maximal(g, td, orbits=[[e] for e in reversed(edges)], orbit_order="input")
-    assert classify_td(g, out).into_maximal_cliques
+    with pytest.raises(ValueError, match="orbit_order"):
+        contract_to_maximal(g, td, orbit_order="input")
+
+
+def _contract_agrees_with_orbit_oracle(g, td):
+    assert contract_to_maximal(g, td).to_json_dict() == (
+        orbit_contract_to_maximal(g, td).to_json_dict()
+    )
+
+
+def test_contract_matches_orbit_oracle_on_suite1(suite1):
+    for g, res in suite1:
+        _contract_agrees_with_orbit_oracle(g, res["td"])
+
+
+CONTRACTED = [random_chordal(n, seed) for n in (2, 5, 10, 20, 30, 40) for seed in range(12)]
+CONTRACTED += [ktree(n, k, seed) for n, k in ((12, 1), (20, 2), (25, 3)) for seed in range(3)]
+CONTRACTED += [star(t) for t in range(1, 10)] + [_windmill(3, b) for b in (4, 5, 6)]
+
+
+def test_contract_matches_orbit_oracle():
+    for g in CONTRACTED:
+        _contract_agrees_with_orbit_oracle(g, build_td_from_nested(g, construct_N(g).union))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 10**6))
+def test_contract_matches_orbit_oracle_hypothesis(n, seed):
+    g = random_chordal(n, seed)
+    _contract_agrees_with_orbit_oracle(g, build_td_from_nested(g, construct_N(g).union))
 
 
 # -- renaming: canonical-td commutes with it, maximal-td's tree edges need not
@@ -315,16 +381,20 @@ RENAMED = {f"rc{n}-{seed}": random_chordal(n, seed) for n in (15, 25) for seed i
 RENAMED.update({"ktree20-3": ktree(20, 3, 1), "star6": star(6)})
 
 
+def _renamed(g, seed):
+    """A seeded renaming of g, with a shuffled vertex order."""
+    rng = random.Random(seed)
+    names = [f"u{i}" for i in range(len(g))]
+    rng.shuffle(names)
+    mapping = dict(zip(g.vertices, names))
+    order = [mapping[v] for v in g.vertices]
+    rng.shuffle(order)
+    return mapping, Graph(order, [(mapping[u], mapping[v]) for u, v in g.edges()])
+
+
 def _renamings(g):
-    """Three seeded renamings of g, each with a shuffled vertex order."""
-    for seed in range(3):
-        rng = random.Random(seed)
-        names = [f"u{i}" for i in range(len(g))]
-        rng.shuffle(names)
-        mapping = dict(zip(g.vertices, names))
-        order = [mapping[v] for v in g.vertices]
-        rng.shuffle(order)
-        yield mapping, Graph(order, [(mapping[u], mapping[v]) for u, v in g.edges()])
+    """Three seeded renamings of g."""
+    return [_renamed(g, seed) for seed in range(3)]
 
 
 def _shape(td, mapping=None):
@@ -339,6 +409,15 @@ def test_canonical_td_commutes_with_renaming(g):
     want = build_td_from_nested(g, construct_N(g).union)
     for mapping, h in _renamings(g):
         assert _shape(build_td_from_nested(h, construct_N(h).union)) == _shape(want, mapping)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 25), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_canonical_td_commutes_with_renaming_hypothesis(n, seed, naming):
+    g = random_chordal(n, seed)
+    mapping, h = _renamed(g, naming)
+    want = build_td_from_nested(g, construct_N(g).union)
+    assert _shape(build_td_from_nested(h, construct_N(h).union)) == _shape(want, mapping)
 
 
 def test_maximal_td_keeps_its_bags_under_renaming_but_not_its_edges():
