@@ -40,7 +40,6 @@ from .separations import (
 from .symmetry import (
     AutomorphismSet,
     automorphism_generators,
-    orbit_closure,
     verify_canonical_td,
 )
 from .treedec import (

@@ -604,6 +604,8 @@ def r_acyclic_check(g: Graph, gd: GraphDecomposition, r: int, seed: int = 0):
     else that many subsets sampled with the given seed; the witness is
     (X, cycle) on failure.
     """
+    if r < 1:
+        raise ValueError("r must be >= 1")
     vs = list(g.vertices)
     missing = [v for v in vs if v not in gd.coparts]
     if missing:

@@ -1,19 +1,18 @@
-"""Automorphism groups of finite graphs, orbits, and canonicity checks
-for tree-decompositions.
+"""Automorphism groups of finite graphs and canonicity checks for
+tree-decompositions.
 
-Automorphisms are found by color refinement followed by backtracking;
-the group is handled through generators and orbit closure, never by
-enumerating all elements unless the order is small.
+Automorphisms are found by color refinement, twin transpositions and
+backtracking; the group is handled through a strong generating set,
+never by enumerating its elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import InvariantViolation, TooLarge
 from .graph import Graph
-from .separations import Separation
 from .treedec import TreeDecomposition, classify_td
 
 GROUP_ORDER_BOUND = 10**6
@@ -46,25 +45,18 @@ def _refine_colors(g: Graph) -> Dict[str, int]:
 
 
 def is_automorphism(g: Graph, phi: Dict[str, str]) -> bool:
-    """Is phi a bijection of V(G) that maps each neighbourhood onto the
-    neighbourhood of the image?  O(n + m)."""
+    """Is phi a bijection of V(G) that maps the neighbourhood of each vertex
+    it moves onto the neighbourhood of the image?  An edge between fixed
+    vertices is its own image, so this is the whole test.  O(n) plus the
+    degrees of the moved vertices."""
     vertices = set(g.vertices)
-    if set(phi) != vertices or set(phi.values()) != vertices:
+    if phi.keys() != vertices or set(phi.values()) != vertices:
         return False
     return all(
-        {phi[u] for u in g.neighbors(v)} == g.neighbors(phi[v]) for v in g.vertices
+        {phi[u] for u in g.neighbors(v)} == g.neighbors(w)
+        for v, w in phi.items()
+        if v != w
     )
-
-
-def _orbit(point: str, generators: Iterable[Dict[str, str]]) -> set:
-    orbit, queue = {point}, [point]
-    while queue:
-        x = queue.pop()
-        for phi in generators:
-            if phi[x] not in orbit:
-                orbit.add(phi[x])
-                queue.append(phi[x])
-    return orbit
 
 
 def automorphism_generators(g: Graph) -> AutomorphismSet:
@@ -72,19 +64,29 @@ def automorphism_generators(g: Graph) -> AutomorphismSet:
     stabilizer chain over the base `g.vertices`.
 
     Levels run from the deepest to the shallowest, so every generator
-    found so far fixes vertices[:i].  At level i the backtracking search
-    starts only for images of vertices[i] outside its orbit under those
-    generators, and each successful search adds one generator.  The orbit
-    is then the basic orbit of vertices[i] in the pointwise stabilizer of
-    vertices[:i], and the group order is the product of the orbit sizes.
-    The search counts its nodes against AUTOMORPHISM_BUDGET.
+    found so far fixes vertices[:i].  At level i an image w of vertices[i]
+    is tried only outside its orbit under those generators.  A twin w
+    (N(v) - {w} == N(w) - {v}) gives the transposition (v w) outright;
+    any other image starts a backtracking search, whose nodes count
+    against AUTOMORPHISM_BUDGET.  The orbits live in a union-find over the
+    generators' moved points, so the orbit of vertices[i] is its basic
+    orbit in the pointwise stabilizer of vertices[:i], and the group order
+    is the product of the orbit sizes.
     """
     color = _refine_colors(g)
     vertices = list(g.vertices)
     n = len(vertices)
+    identity = {v: v for v in vertices}
     generators: List[Dict[str, str]] = []
+    root: Dict[str, str] = {}  # union-find parent links, union by size
+    size = dict.fromkeys(vertices, 1)
     order = 1
     nodes = 0
+
+    def find(x: str) -> str:
+        while x in root:
+            x = root[x]
+        return x
 
     def fits(v: str, w: str, mapping: Dict[str, str], used: set) -> bool:
         """Does v -> w keep the colour and every adjacency to mapped vertices?"""
@@ -93,7 +95,7 @@ def automorphism_generators(g: Graph) -> AutomorphismSet:
         } == g.neighbors(w) & used
 
     def extend(mapping: Dict[str, str], used: set) -> Optional[Dict[str, str]]:
-        """Complete a partial mapping to a full automorphism by backtracking."""
+        """Complete a map of a prefix of the base to an automorphism."""
         nonlocal nodes
         nodes += 1
         if nodes > AUTOMORPHISM_BUDGET:
@@ -103,7 +105,7 @@ def automorphism_generators(g: Graph) -> AutomorphismSet:
             )
         if len(mapping) == n:
             return dict(mapping)
-        v = next(u for u in vertices if u not in mapping)
+        v = vertices[len(mapping)]
         for w in vertices:
             if w in used or not fits(v, w, mapping, used):
                 continue
@@ -120,88 +122,61 @@ def automorphism_generators(g: Graph) -> AutomorphismSet:
         v = vertices[i]
         fixed = {u: u for u in vertices[:i]}
         used = set(fixed)
-        orbit = _orbit(v, generators)
         for w in vertices[i + 1:]:
-            if w in orbit or not fits(v, w, fixed, used):
+            if find(w) == find(v):
                 continue
-            phi = extend({**fixed, v: w}, used | {w})
-            if phi is not None:
-                if not is_automorphism(g, phi):
-                    raise InvariantViolation("search found a map that is not an automorphism")
-                generators.append(phi)
-                orbit = _orbit(v, generators)
-        order *= len(orbit)
+            if g.neighbors(v) - {w} == g.neighbors(w) - {v}:
+                phi = {**identity, v: w, w: v}
+            else:
+                phi = extend({**fixed, v: w}, used | {w}) if fits(v, w, fixed, used) else None
+            if phi is None:
+                continue
+            if not is_automorphism(g, phi):
+                raise InvariantViolation("search found a map that is not an automorphism")
+            generators.append(phi)
+            for a, b in ((find(x), find(phi[x])) for x in vertices[i:] if phi[x] != x):
+                if a != b:
+                    if size[a] > size[b]:
+                        a, b = b, a
+                    root[a] = b
+                    size[b] += size[a]
+        order *= size[find(v)]
     return AutomorphismSet(
         generators=tuple(generators),
         group_order=order if order <= GROUP_ORDER_BOUND else None,
     )
 
 
-def _canonical_object(obj: Hashable):
-    if isinstance(obj, Separation):
-        return obj._key
-    if isinstance(obj, frozenset):
-        return tuple(sorted(obj))
-    return obj
-
-
-def apply_to(phi: Dict[str, str], obj):
-    if isinstance(obj, Separation):
-        return obj.apply(phi)
-    if isinstance(obj, frozenset):
-        return frozenset(phi[v] for v in obj)
-    raise TypeError(f"cannot apply automorphism to {type(obj).__name__}")
-
-
-def orbit_closure(aut: AutomorphismSet, objects: Iterable) -> List[List]:
-    """Partition objects into orbits under the generated group.
-
-    Orbits are closed under the generators, so images outside the input
-    list are included; each orbit is sorted canonically, orbits ordered by
-    their representatives.
-    """
-    remaining = list(objects)
-    seen = set()
-    orbits = []
-    for obj in remaining:
-        if obj in seen:
-            continue
-        orbit = {obj}
-        queue = [obj]
-        while queue:
-            x = queue.pop()
-            for phi in aut.generators:
-                y = apply_to(phi, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        seen |= orbit
-        orbits.append(sorted(orbit, key=_canonical_object))
-    orbits.sort(key=lambda o: _canonical_object(o[0]))
-    return orbits
-
-
 def _tree_automorphisms_for(
     td: TreeDecomposition, gamma: Dict[str, str], limit: int
 ) -> List[Dict[str, str]]:
     """Up to `limit` tree automorphisms phi with gamma(bag(t)) = bag(phi(t))
-    for all t, in search order."""
+    for all t, in search order.
+
+    Node t is tried only on the nodes whose bag is gamma(bag(t)), in node
+    order, and checked only against its tree neighbours mapped before it:
+    an edge-preserving bijection between two trees of one size is an
+    automorphism.
+    """
     tree = td.tree
-    nodes = list(tree.vertices)
-    target = {t: frozenset(gamma[v] for v in td.bags[t]) for t in nodes}
+    nodes = tree.vertices
+    by_bag: Dict[FrozenSet[str], List[str]] = {}
+    for t in nodes:
+        by_bag.setdefault(td.bags[t], []).append(t)
+    candidates = [
+        by_bag.get(frozenset(gamma[v] for v in td.bags[t]), ()) for t in nodes
+    ]
     found: List[Dict[str, str]] = []
 
     def backtrack(mapping: Dict[str, str], used: set) -> None:
         if len(mapping) == len(nodes):
             found.append(dict(mapping))
             return
-        t = next(u for u in nodes if u not in mapping)
-        for s in nodes:
-            if s in used or td.bags[s] != target[t]:
-                continue
-            if any(
-                tree.has_edge(t, u) != tree.has_edge(s, img)
-                for u, img in mapping.items()
+        t = nodes[len(mapping)]
+        for s in candidates[len(mapping)]:
+            if s in used or any(
+                u in mapping and mapping[u] not in tree.neighbors(s)
+                for u in tree.neighbors(t)
             ):
                 continue
             mapping[t] = s

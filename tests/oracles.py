@@ -5,7 +5,9 @@ with nine exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
 and `classify`, which the separation tests check on their own,
-`all_images_automorphisms` on the colour refinement `_refine_colors`,
+`all_images_automorphisms` and `scan_automorphism_generators` on the
+colour refinement `_refine_colors` (the latter also on the
+`AutomorphismSet` record and the symmetry module's two bounds),
 `closure_build_td` on the validation and post-checks of the tree
 construction it is compared against, `explicit_part` on
 `separation_from_separator`, `pairwise_construct_N` on `beta`
@@ -40,6 +42,12 @@ out on its own.  `subgraph_verify_td` is `verify_td` as it was before it
 counted: one induced subtree per vertex, tested for connectivity.
 `scan_uncovered` is the coverage test as it was before it indexed the
 bags holding each vertex: every bag scanned for every edge.
+`scan_automorphism_generators` is `automorphism_generators` as it was
+before twins and union-find orbits: every image searched by backtracking,
+its generators checked pair by pair, and the orbit recomputed from
+scratch after each generator.  `scan_tree_automorphisms` is the tree
+action search of that time: every node tried as the image of every node,
+checked for adjacency and non-adjacency against every mapped node.
 `orbit_contract_to_maximal` is `contract_to_maximal` as it was before it
 contracted single edges only: it takes a partition of the tree edges into
 orbits, contracts an orbit only if it is a matching, and raises its own
@@ -81,6 +89,7 @@ from cliquedec.errors import (
     NotATree,
     NotNested,
     PreconditionViolated,
+    TooLarge,
 )
 from cliquedec.graph import INFINITY, Ball, Graph
 from cliquedec.nested import NestedSetLevels, crossing_count
@@ -95,7 +104,12 @@ from cliquedec.separations import (
     relate,
     separation_from_separator,
 )
-from cliquedec.symmetry import _refine_colors
+from cliquedec.symmetry import (
+    AUTOMORPHISM_BUDGET,
+    GROUP_ORDER_BOUND,
+    AutomorphismSet,
+    _refine_colors,
+)
 from cliquedec.treedec import (
     TreeDecomposition,
     _check_tree,
@@ -439,6 +453,123 @@ def all_images_automorphisms(g: Graph) -> Tuple[List[Dict[str, str]], List[List[
         if not pairwise_is_automorphism(g, phi):
             raise AssertionError(f"generator {phi} is not an automorphism")
     return generators, levels
+
+
+def orbit_of(point: str, generators: Iterable[Dict[str, str]]) -> Set[str]:
+    """The orbit of point under the group the generators generate."""
+    orbit, queue = {point}, [point]
+    while queue:
+        x = queue.pop()
+        for phi in generators:
+            if phi[x] not in orbit:
+                orbit.add(phi[x])
+                queue.append(phi[x])
+    return orbit
+
+
+def scan_automorphism_generators(g: Graph) -> AutomorphismSet:
+    """A strong generating set of Aut(G) via a Schreier-Sims-style
+    stabilizer chain over the base `g.vertices`.
+
+    Levels run from the deepest to the shallowest, so every generator
+    found so far fixes vertices[:i].  At level i the backtracking search
+    starts only for images of vertices[i] outside its orbit under those
+    generators, and each successful search adds one generator.  The orbit
+    is then the basic orbit of vertices[i] in the pointwise stabilizer of
+    vertices[:i], and the group order is the product of the orbit sizes.
+    The search counts its nodes against AUTOMORPHISM_BUDGET.
+    """
+    color = _refine_colors(g)
+    vertices = list(g.vertices)
+    n = len(vertices)
+    generators: List[Dict[str, str]] = []
+    order = 1
+    nodes = 0
+
+    def fits(v: str, w: str, mapping: Dict[str, str], used: set) -> bool:
+        """Does v -> w keep the colour and every adjacency to mapped vertices?"""
+        return color[w] == color[v] and {
+            mapping[u] for u in g.neighbors(v) if u in mapping
+        } == g.neighbors(w) & used
+
+    def extend(mapping: Dict[str, str], used: set) -> Optional[Dict[str, str]]:
+        """Complete a partial mapping to a full automorphism by backtracking."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > AUTOMORPHISM_BUDGET:
+            raise TooLarge(
+                f"automorphism search budget is {AUTOMORPHISM_BUDGET} nodes, "
+                f"reached {nodes} on {n} vertices"
+            )
+        if len(mapping) == n:
+            return dict(mapping)
+        v = next(u for u in vertices if u not in mapping)
+        for w in vertices:
+            if w in used or not fits(v, w, mapping, used):
+                continue
+            mapping[v] = w
+            used.add(w)
+            res = extend(mapping, used)
+            if res is not None:
+                return res
+            del mapping[v]
+            used.discard(w)
+        return None
+
+    for i in reversed(range(n)):
+        v = vertices[i]
+        fixed = {u: u for u in vertices[:i]}
+        used = set(fixed)
+        orbit = orbit_of(v, generators)
+        for w in vertices[i + 1:]:
+            if w in orbit or not fits(v, w, fixed, used):
+                continue
+            phi = extend({**fixed, v: w}, used | {w})
+            if phi is not None:
+                if not pairwise_is_automorphism(g, phi):
+                    raise InvariantViolation("search found a map that is not an automorphism")
+                generators.append(phi)
+                orbit = orbit_of(v, generators)
+        order *= len(orbit)
+    return AutomorphismSet(
+        generators=tuple(generators),
+        group_order=order if order <= GROUP_ORDER_BOUND else None,
+    )
+
+
+def scan_tree_automorphisms(
+    td: TreeDecomposition, gamma: Dict[str, str], limit: int
+) -> List[Dict[str, str]]:
+    """Up to `limit` tree automorphisms phi with gamma(bag(t)) = bag(phi(t))
+    for all t, in search order."""
+    tree = td.tree
+    nodes = list(tree.vertices)
+    target = {t: frozenset(gamma[v] for v in td.bags[t]) for t in nodes}
+    found: List[Dict[str, str]] = []
+
+    def backtrack(mapping: Dict[str, str], used: set) -> None:
+        if len(mapping) == len(nodes):
+            found.append(dict(mapping))
+            return
+        t = next(u for u in nodes if u not in mapping)
+        for s in nodes:
+            if s in used or td.bags[s] != target[t]:
+                continue
+            if any(
+                tree.has_edge(t, u) != tree.has_edge(s, img)
+                for u, img in mapping.items()
+            ):
+                continue
+            mapping[t] = s
+            used.add(s)
+            backtrack(mapping, used)
+            if len(found) >= limit:
+                return
+            del mapping[t]
+            used.discard(s)
+
+    backtrack({}, set())
+    return found
 
 
 def brute_minimal_separators(g: Graph) -> Set[FrozenSet[str]]:

@@ -60,6 +60,13 @@ def test_usage_and_input_errors(tmp_path, capsys):
     assert main(["canonical-td", "--in", ok_file, "--beta-include-nontight"]) == 2
     assert main(["maximal-td", "--in", ok_file, "--orbit-order", "input"]) == 2
     capsys.readouterr()
+    # r-acyclicity of at most r <= 0 co-parts would hold vacuously
+    pres = cycle_z_presentation(4)
+    base, vf = _write_graph(tmp_path, pres.base, "c4.json"), _write_voltage(tmp_path, pres)
+    for r in ("0", "-3"):
+        assert main(["r-acyclic", "--in", base, "--voltage", vf, "-L", "3", "-r", r]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "r must be >= 1" in captured.err
 
 
 def test_missing_fields_and_coparts_are_input_errors(tmp_path, capsys):

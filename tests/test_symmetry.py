@@ -1,26 +1,32 @@
-"""Automorphism generators, orbit closure, canonicity of decompositions."""
+"""Automorphism generators and canonicity of decompositions."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import all_images_automorphisms, pairwise_is_automorphism
+from oracles import (
+    all_images_automorphisms,
+    orbit_of,
+    pairwise_is_automorphism,
+    scan_automorphism_generators,
+    scan_tree_automorphisms,
+)
 
 from cliquedec import symmetry
 from cliquedec.errors import InvariantViolation, TooLarge
 from cliquedec.graph import Graph
 from cliquedec.instances import complete, cycle, path, random_chordal, star, two_triangles
 from cliquedec.nested import construct_N
-from cliquedec.separations import Separation
 from cliquedec.symmetry import (
     AutomorphismSet,
+    _tree_automorphisms_for,
     automorphism_generators,
     is_automorphism,
-    orbit_closure,
     verify_canonical_td,
 )
-from cliquedec.treedec import TreeDecomposition, build_td_from_nested
+from cliquedec.treedec import TreeDecomposition, build_td_from_nested, contract_to_maximal
 
 
 def test_automorphisms_star():
@@ -98,34 +104,31 @@ def test_broken_symmetry_invariants_raise_typed_errors(monkeypatch):
         verify_canonical_td(g, td, aut)
 
 
-def _orbit(point, generators):
-    orbit, queue = {point}, [point]
-    while queue:
-        x = queue.pop()
-        for phi in generators:
-            if phi[x] not in orbit:
-                orbit.add(phi[x])
-                queue.append(phi[x])
-    return orbit
+def _basic_orbits(vertices, generators):
+    """The orbit of vertices[i] under the generators fixing vertices[:i],
+    for every level i."""
+    return [
+        orbit_of(v, [phi for phi in generators if all(phi[u] == u for u in vertices[:i])])
+        for i, v in enumerate(vertices)
+    ]
 
 
 def _same_group_as_oracle(g):
     """Level by level, the basic orbits of the returned generators are the
-    oracle's image sets, so both sets generate the same group; and the
+    oracle's image sets and the basic orbits of the scanning search's
+    generators, so all three sets generate the same group; and the
     unrounded orders, the products of the level sizes, are equal."""
     aut = automorphism_generators(g)
     gens, levels = all_images_automorphisms(g)
+    scan = scan_automorphism_generators(g)
     vertices = list(g.vertices)
-    orbits = []
-    for i, v in enumerate(vertices):
-        fixing = [
-            phi for phi in aut.generators if all(phi[u] == u for u in vertices[:i])
-        ]
-        orbits.append(_orbit(v, fixing))
-        assert orbits[i] == set(levels[i]), (i, v)
+    orbits = _basic_orbits(vertices, aut.generators)
+    assert orbits == [set(level) for level in levels]
+    assert orbits == _basic_orbits(vertices, scan.generators)
     order = math.prod(map(len, orbits))
     assert order == math.prod(map(len, levels))
     assert aut.group_order == (order if order <= symmetry.GROUP_ORDER_BOUND else None)
+    assert aut.group_order == scan.group_order
     assert all(pairwise_is_automorphism(g, phi) for phi in aut.generators)
     return aut, gens
 
@@ -153,6 +156,20 @@ def _triangle_tree(depth, branching):
                     nxt.append((b, c))
         frontier = nxt
     return Graph(vertices, edges)
+
+
+def _complete_bipartite(a, b):
+    left, right = [f"l{i}" for i in range(a)], [f"r{j}" for j in range(b)]
+    return Graph(left + right, [(x, y) for x in left for y in right])
+
+
+def _shuffled(g, seed):
+    """g with its vertices renamed and listed in a seeded random order,
+    so that twins sit at arbitrary base positions."""
+    order = list(g.vertices)
+    random.Random(seed).shuffle(order)
+    name = {v: f"x{i:02d}" for i, v in enumerate(order)}
+    return Graph([name[v] for v in order], [(name[u], name[v]) for u, v in g.edges()])
 
 
 SYMMETRIC_FAMILIES = (
@@ -191,28 +208,73 @@ def test_generators_match_all_images_oracle_random_chordal(seed, n):
     _same_group_as_oracle(random_chordal(n, seed))
 
 
-def test_orbit_closure_star_splits():
+SHUFFLED_FAMILIES = [
+    (f"{name}-shuffled-{seed}", _shuffled(g, seed))
+    for name, g in (
+        [(f"star-{t}", star(t)) for t in range(3, 9)]
+        + [(f"windmill-3-{b}", _windmill(3, b)) for b in range(4, 7)]
+        + [(f"complete-{n}", complete(n)) for n in range(8, 17)]
+        + [(f"triangles-2-{b}", _triangle_tree(2, b)) for b in (2, 3)]
+        + [("K2,5", _complete_bipartite(2, 5))]
+    )
+    for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in SHUFFLED_FAMILIES], ids=[name for name, _ in SHUFFLED_FAMILIES]
+)
+def test_generators_match_oracles_with_twins_anywhere_in_the_base(g):
+    _same_group_as_oracle(g)
+
+
+def test_twin_rich_graphs_need_no_backtracking(monkeypatch):
+    monkeypatch.setattr(symmetry, "AUTOMORPHISM_BUDGET", 0)
+    aut = automorphism_generators(complete(70))
+    assert len(aut.generators) == 69 and aut.group_order is None
+    assert len(automorphism_generators(star(60)).generators) == 59
+    aut = automorphism_generators(_complete_bipartite(2, 6))
+    assert aut.group_order == 2 * math.factorial(6)
+    # a search that needs a backtracking node still stops at the budget
+    with pytest.raises(TooLarge, match="budget is 0 nodes, reached 1"):
+        automorphism_generators(path(4))
+
+
+def _same_tree_actions_as_oracle(g, td):
+    """Every generator of the new and the scanning search gets the tree
+    actions of the scanning tree search, in its order, for limits 1 and 2."""
+    gens = automorphism_generators(g).generators + scan_automorphism_generators(g).generators
+    for gamma in gens:
+        for limit in (1, 2):
+            assert _tree_automorphisms_for(td, gamma, limit) == scan_tree_automorphisms(
+                td, gamma, limit
+            )
+
+
+def test_tree_actions_match_scan_oracle_suite1(suite1):
+    for g, res in suite1:
+        _same_tree_actions_as_oracle(g, res["td"])
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in SYMMETRIC_FAMILIES], ids=[name for name, _ in SYMMETRIC_FAMILIES]
+)
+def test_tree_actions_match_scan_oracle_symmetric(g):
+    _same_tree_actions_as_oracle(g, build_td_from_nested(g, construct_N(g).union))
+
+
+def test_tree_actions_match_scan_oracle_on_non_canonical_trees():
     g = star(3)
-    aut = automorphism_generators(g)
-    seed = Separation(frozenset({"c", "1"}), frozenset({"c", "2", "3"}))
-    orbits = orbit_closure(aut, [seed])
-    assert len(orbits) == 1 and len(orbits[0]) == 3
-
-
-def test_orbit_closure_single_and_empty():
-    g = two_triangles()
-    aut = automorphism_generators(g)
-    s = Separation(frozenset("abc"), frozenset("bcd"))
-    orbits = orbit_closure(aut, [s])
-    assert [len(o) for o in orbits] == [1]
-    assert orbit_closure(aut, []) == []
-
-
-def test_orbit_closure_vertex_sets():
-    g = star(3)
-    aut = automorphism_generators(g)
-    orbits = orbit_closure(aut, [frozenset({"c", "1"})])
-    assert len(orbits) == 1 and len(orbits[0]) == 3
+    td = TreeDecomposition(
+        tree=Graph(["t0", "t1", "t2"], [("t0", "t1"), ("t1", "t2")]),
+        bags={f"t{i}": frozenset({"c", str(i + 1)}) for i in range(3)},
+    )
+    _same_tree_actions_as_oracle(g, td)
+    for t in (4, 5, 6):
+        g = star(t)
+        td = contract_to_maximal(g, build_td_from_nested(g, construct_N(g).union))
+        assert not verify_canonical_td(g, td, automorphism_generators(g))["canonical"]
+        _same_tree_actions_as_oracle(g, td)
 
 
 def test_canonical_star_decomposition():
@@ -261,8 +323,6 @@ def test_action_respects_composition():
         tuple(sorted(e["generator"].items())): e["action"]
         for e in report["per_generator"]
     }
-    from cliquedec.symmetry import _tree_automorphisms_for
-
     gens = [dict(e["generator"]) for e in report["per_generator"]]
     for g1 in gens[:3]:
         for g2 in gens[:3]:
