@@ -281,6 +281,13 @@ def cmd_gen(args) -> int:
 # -- argument parsing ---------------------------------------------------
 
 
+def _r_at_least_one(text: str) -> int:
+    """r-acyclicity of at most r <= 0 co-parts would hold vacuously."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("r must be >= 1")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliquedec",
@@ -328,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--voltage", required=True)
     p.add_argument("-L", type=int, default=6)
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_r_at_least_one, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("reproduce", cmd_reproduce, help="reproduce worked examples")

@@ -58,6 +58,8 @@ def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> Ne
     cliques X >= S + v1 and Y >= S + v2 meet in S, their one minimum separator.
     Hence the selection runs once per part, over the distinct clique-tree
     labels in node order.  Supplied bottlenecks are each taken as one part.
+    A part with one candidate selects it whatever it crosses, so crossings
+    are counted only for the candidates of parts that have a choice.
     """
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
@@ -77,17 +79,20 @@ def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> Ne
     result = NestedSetLevels()
     for k in sorted(by_order):
         pool = sorted({s for seps in by_order[k] for s in seps}, key=by_key)
-        xk = {s: crossing_count(s, pool) for s in pool}
         # nested with everything chosen at the lower levels
         allowed = {s for s in pool if all(relate(s, t) == NESTED for t in result.union)}
+        xk: Dict[Separation, int] = {}
         chosen_level: Set[Separation] = set()
         for seps in by_order[k]:
             candidates = [s for s in seps if s in allowed]
             if not candidates:
                 named = ", ".join(sorted({str(g.sorted(s.separator)) for s in seps}))
                 raise EmptyBottleneckSelection(f"no candidate at order {k}, separator {named}")
-            best = min(xk[s] for s in candidates)
-            chosen_level.update(s for s in candidates if xk[s] == best)
+            if len(candidates) > 1:
+                xk.update((s, crossing_count(s, pool)) for s in candidates if s not in xk)
+                best = min(xk[s] for s in candidates)
+                candidates = [s for s in candidates if xk[s] == best]
+            chosen_level.update(candidates)
         # same-level mutual nestedness is guaranteed, not arranged; verify
         for s, t in combinations(sorted(chosen_level, key=by_key), 2):
             if relate(s, t) == CROSSING:

@@ -141,16 +141,12 @@ def induced_separation(g: Graph, td: TreeDecomposition, f: Tuple[str, str]) -> S
 
 def _tree_side(tree: Graph, t1: str, t2: str) -> Set[str]:
     """Nodes on t1's side of the tree edge t1-t2."""
-    seen = {t1, t2}
-    stack = [t1]
-    side = {t1}
+    side, stack = {t1, t2}, [t1]
     while stack:
-        u = stack.pop()
-        for w in tree.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                side.add(w)
-                stack.append(w)
+        for w in tree.neighbors(stack.pop()) - side:
+            side.add(w)
+            stack.append(w)
+    side.discard(t2)
     return side
 
 
@@ -160,54 +156,62 @@ def _tree_side(tree: Graph, t1: str, t2: str) -> Set[str]:
 def build_td_from_nested(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
     """Tree-decomposition whose induced separations are exactly n.
 
-    Each node is a star of the nested set: an oriented separation (A,B)
-    with the inverses of the minimal oriented separations strictly above
-    it.  The bag of a node is the intersection of the B-sides of its star.
-    The edge-to-separation bijection is verified before returning.
+    Each node is a star of the nested set.  Oriented towards a vertex x in
+    no separator, the strict sides A - B form a laminar family; the node
+    behind (A, B) is (B, A) with the maximal sides inside A - B, and the
+    root holds the maximal sides.  A bag is the intersection of the B-sides
+    of its star.  The edge-to-separation bijection is verified before returning.
     """
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
     seps = sorted(set(n), key=by_key)
     for i, s in enumerate(seps):
-        cl = classify(g, s)
-        if not cl.proper:
+        if s.sideA <= s.sideB or s.sideB <= s.sideA:
             raise ImproperSeparation(f"{s} is improper")
         for t in seps[i + 1 :]:
             if relate(s, t) == CROSSING:
                 raise NotNested(f"{s} crosses {t}")
 
     if not seps:
-        return TreeDecomposition(
-            tree=Graph(["t0"]), bags={"t0": frozenset(g.vertices)}
-        )
+        return TreeDecomposition(tree=Graph(["t0"]), bags={"t0": frozenset(g.vertices)})
 
-    oriented = [p for s in seps for p in s.orientations()]
+    def ascending(p):
+        return len(p[0]), -len(p[1])
 
-    def leq(p, q):
-        return p[0] <= q[0] and p[1] >= q[1]
+    # the first in ascending order is minimal, so its strict A-side meets no separator
+    first = min((p for s in seps for p in s.orientations()), key=ascending)
+    x = next(iter(first[0] - first[1]))
+    towards = [(s.sideB, s.sideA) if x in s.sideA else (s.sideA, s.sideB) for s in seps]
 
-    # every oriented separation comes after all those strictly below it
-    ascending = sorted(oriented, key=lambda p: (len(p[0]), -len(p[1])))
-    node_of = {}
-    for p in oriented:
-        minimal: List[Tuple[FrozenSet[str], FrozenSet[str]]] = []
-        for r in ascending:
-            if r != p and leq(p, r) and not any(leq(q, r) for q in minimal):
-                minimal.append(r)
-        node_of[p] = frozenset([p, *((b, a) for a, b in minimal)])
+    # ascending order lists each strict side before every one that contains
+    # it, so the owners of a side (owner[v]: the last side seen holding v)
+    # are its children; node i is the star behind towards[i], node m the root
+    m = len(seps)
+    parent = dict.fromkeys(range(m), m)
+    bags: Dict[int, FrozenSet[str]] = {}
+    owner: Dict[str, int] = {}
+    for i in sorted(range(m), key=lambda i: ascending(towards[i])):
+        a, b = towards[i]
+        strict = a - b
+        children = {owner[v] for v in strict if v in owner}
+        parent.update(dict.fromkeys(children, i))
+        bags[i] = a.intersection(*(towards[c][1] for c in children))
+        owner.update(dict.fromkeys(strict, i))
+    bags[m] = frozenset.intersection(*(towards[i][1] for i in range(m) if parent[i] == m))
 
-    # each node keeps its last member in `oriented`, whose sides order the names
-    rep = {x: p for p, x in node_of.items()}
-    nodes = sorted(rep, key=lambda x: (tuple(sorted(rep[x][0])), tuple(sorted(rep[x][1]))))
-    names = {x: f"t{i}" for i, x in enumerate(nodes)}
-    bags = {names[x]: frozenset.intersection(*(b for _, b in x)) for x in nodes}
-
-    # p = (A,B) points at the node on its B-side; s joins the nodes of p and q
-    edges = [
-        (names[node_of[q]], names[node_of[p]]) for p, q in map(Separation.orientations, seps)
-    ]
-
-    td = TreeDecomposition(tree=Graph([names[x] for x in nodes], edges), bags=bags)
+    # the nodes that (A, B) and (B, A) of each separation point at, each
+    # named by the key of its last member in that order
+    ends = [(i, parent[i]) if x in s.sideA else (parent[i], i) for i, s in enumerate(seps)]
+    key = {}
+    for s, (p, q) in zip(seps, ends):
+        key[p] = s._key
+        key[q] = s._key[::-1]
+    nodes = sorted(key, key=key.__getitem__)
+    names = {t: f"t{i}" for i, t in enumerate(nodes)}
+    td = TreeDecomposition(
+        tree=Graph([names[t] for t in nodes], [(names[q], names[p]) for p, q in ends]),
+        bags={names[t]: bags[t] for t in nodes},
+    )
     if not verify_td(g, td)["ok"]:
         raise InvariantViolation("constructed decomposition failed verify_td")
     induced = {induced_separation(g, td, e) for e in td.tree.edges()}

@@ -11,7 +11,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cliquedec.cli import canonical_td_pipeline
-from cliquedec.covers import fold_pipeline
+from cliquedec.covers import VoltagePresentation, fold_pipeline, parse_word
+from cliquedec.graph import Graph
 from cliquedec.instances import cycle_z_presentation, random_chordal
 
 SUITE1_SEED = 20240601
@@ -57,3 +58,17 @@ def c6z_artifacts():
     pres = cycle_z_presentation(6)
     res = fold_pipeline(pres, 6)
     return pres, res.window, res.nested, res.td
+
+
+@pytest.fixture(scope="session")
+def f2_presentation():
+    """Two hexagons that share the vertex v0, with voltages x and y on their
+    closing edges: the deck group of the derived cover is the free group F2."""
+    hexagons = [[f"v{i}" for i in range(6)], ["v0"] + [f"w{i}" for i in range(1, 6)]]
+    base = Graph(
+        [v for h in hexagons for v in h],
+        [(h[i], h[(i + 1) % 6]) for h in hexagons for i in range(6)],
+    )
+    tree = frozenset(frozenset(h[i : i + 2]) for h in hexagons for i in range(5))
+    voltages = {("v5", "v0"): parse_word("x"), ("w5", "v0"): parse_word("y")}
+    return VoltagePresentation(base=base, tree_edges=tree, voltages=voltages)

@@ -1,7 +1,7 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with nine exceptions: `flow_min_separators` builds on the package's
+with ten exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
 and `classify`, which the separation tests check on their own,
@@ -9,7 +9,8 @@ and `classify`, which the separation tests check on their own,
 colour refinement `_refine_colors` (the latter also on the
 `AutomorphismSet` record and the symmetry module's two bounds),
 `closure_build_td` on the validation and post-checks of the tree
-construction it is compared against, `explicit_part` on
+construction it is compared against, `star_walk_build_td` on the same
+and on the sort key `by_key`, `explicit_part` on
 `separation_from_separator`, `pairwise_construct_N` on `beta`
 (checked against `explicit_beta`), `crossing_count` and `relate`,
 `hole_searching_maximal_cliques` on `is_chordal`, `clique_tree` and the
@@ -48,6 +49,9 @@ its generators checked pair by pair, and the orbit recomputed from
 scratch after each generator.  `scan_tree_automorphisms` is the tree
 action search of that time: every node tried as the image of every node,
 checked for adjacency and non-adjacency against every mapped node.
+`star_walk_build_td` is `build_td_from_nested` as it was before the
+laminar pass: each oriented separation walks all of them in ascending
+order for the minimal ones above it, and its node is read off that star.
 `orbit_contract_to_maximal` is `contract_to_maximal` as it was before it
 contracted single edges only: it takes a partition of the tree edges into
 orbits, contracts an orbit only if it is a matching, and raises its own
@@ -99,6 +103,7 @@ from cliquedec.separations import (
     Separation,
     _VertexFlow,
     beta,
+    by_key,
     classify,
     clique_min_separators,
     relate,
@@ -776,6 +781,72 @@ def closure_build_td(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
         raise InvariantViolation("tree edges do not biject onto the separations")
     return td
 
+
+
+def star_walk_build_td(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
+    """Tree-decomposition whose induced separations are exactly n, built
+    by a star walk: the tree builder as it was before the laminar pass.
+
+    Each node is a star of the nested set: an oriented separation (A,B)
+    with the inverses of the minimal oriented separations strictly above
+    it.  The bag of a node is the intersection of the B-sides of its star.
+    The edge-to-separation bijection is verified before returning.
+
+    Every oriented separation walks all of them in ascending order
+    (O(m^2) frozenset comparisons, times the star's size).  From the
+    package it uses `classify`, `relate`, `CROSSING` and `by_key` for the
+    validation, and `verify_td`, `induced_separation` and
+    `TreeDecomposition` for the post-checks and the result.
+    """
+    if not g.is_connected():
+        raise PreconditionViolated("graph must be connected")
+    seps = sorted(set(n), key=by_key)
+    for i, s in enumerate(seps):
+        cl = classify(g, s)
+        if not cl.proper:
+            raise ImproperSeparation(f"{s} is improper")
+        for t in seps[i + 1 :]:
+            if relate(s, t) == CROSSING:
+                raise NotNested(f"{s} crosses {t}")
+
+    if not seps:
+        return TreeDecomposition(
+            tree=Graph(["t0"]), bags={"t0": frozenset(g.vertices)}
+        )
+
+    oriented = [p for s in seps for p in s.orientations()]
+
+    def leq(p, q):
+        return p[0] <= q[0] and p[1] >= q[1]
+
+    # every oriented separation comes after all those strictly below it
+    ascending = sorted(oriented, key=lambda p: (len(p[0]), -len(p[1])))
+    node_of = {}
+    for p in oriented:
+        minimal: List[Tuple[FrozenSet[str], FrozenSet[str]]] = []
+        for r in ascending:
+            if r != p and leq(p, r) and not any(leq(q, r) for q in minimal):
+                minimal.append(r)
+        node_of[p] = frozenset([p, *((b, a) for a, b in minimal)])
+
+    # each node keeps its last member in `oriented`, whose sides order the names
+    rep = {x: p for p, x in node_of.items()}
+    nodes = sorted(rep, key=lambda x: (tuple(sorted(rep[x][0])), tuple(sorted(rep[x][1]))))
+    names = {x: f"t{i}" for i, x in enumerate(nodes)}
+    bags = {names[x]: frozenset.intersection(*(b for _, b in x)) for x in nodes}
+
+    # p = (A,B) points at the node on its B-side; s joins the nodes of p and q
+    edges = [
+        (names[node_of[q]], names[node_of[p]]) for p, q in map(Separation.orientations, seps)
+    ]
+
+    td = TreeDecomposition(tree=Graph([names[x] for x in nodes], edges), bags=bags)
+    if not verify_td(g, td)["ok"]:
+        raise InvariantViolation("constructed decomposition failed verify_td")
+    induced = {induced_separation(g, td, e) for e in td.tree.edges()}
+    if induced != set(seps):
+        raise InvariantViolation("tree edges do not biject onto the separations")
+    return td
 
 def quadratic_mcs_order(g: Graph) -> List[str]:
     """Maximum-cardinality search order; its reverse is a PEO iff g is chordal.

@@ -69,6 +69,18 @@ def test_usage_and_input_errors(tmp_path, capsys):
         assert captured.out == "" and "r must be >= 1" in captured.err
 
 
+def test_r_below_one_is_rejected_before_the_fold(tmp_path, capsys, monkeypatch):
+    def no_fold(pres, L):
+        raise AssertionError("folded before -r was checked")
+
+    monkeypatch.setattr(cli, "fold_pipeline", no_fold)
+    pres = cycle_z_presentation(4)
+    base, vf = _write_graph(tmp_path, pres.base, "c4.json"), _write_voltage(tmp_path, pres)
+    assert main(["r-acyclic", "--in", base, "--voltage", vf, "-L", "10", "-r", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "r must be >= 1" in captured.err
+
+
 def test_missing_fields_and_coparts_are_input_errors(tmp_path, capsys):
     pres = cycle_z_presentation(6).to_json_dict()
     cases = {

@@ -209,3 +209,28 @@ def test_empty_bottleneck_selection_is_raised():
     assert n.levels == {1: {chosen}, 2: {nested}}
     with pytest.raises(EmptyBottleneckSelection, match=rf"order 2, separator \['{b}', '{d}'\]"):
         construct_N(g, [bottleneck(chosen), bottleneck(crossing)])
+
+
+@pytest.mark.parametrize("name", ["path10", "c4z-L3"])
+def test_parts_without_a_choice_count_no_crossings(monkeypatch, name):
+    # every part of a path, or of a window of a cycle cover, has one candidate
+    g = path(10) if name == "path10" else derive_window(cycle_z_presentation(4), 3).window
+
+    def refuse(s, pool):
+        raise AssertionError("crossings counted for a part without a choice")
+
+    monkeypatch.setattr("cliquedec.nested.crossing_count", refuse)
+    assert construct_N(g).levels == pairwise_construct_N(g).levels
+
+
+def test_parts_with_a_choice_count_crossings_once(monkeypatch):
+    counted = []
+
+    def counting(s, pool):
+        counted.append(s)
+        return crossing_count(s, pool)
+
+    monkeypatch.setattr("cliquedec.nested.crossing_count", counting)
+    g = star(4)  # one order; each part puts its two free leaves on sides in four ways
+    assert construct_N(g).levels == pairwise_construct_N(g).levels
+    assert counted and len(counted) == len(set(counted))

@@ -17,7 +17,7 @@ from cliquedec.errors import (
     NotNested,
     PreconditionViolated,
 )
-from cliquedec.covers import fold_pipeline
+from cliquedec.covers import derive_window, fold_pipeline
 from cliquedec.graph import Graph
 from cliquedec.instances import (
     complete,
@@ -30,7 +30,7 @@ from cliquedec.instances import (
     two_triangles,
 )
 from cliquedec.nested import construct_N
-from cliquedec.separations import Separation
+from cliquedec.separations import NESTED, Separation, by_key, relate
 from cliquedec.treedec import (
     TreeDecomposition,
     build_td_from_nested,
@@ -47,6 +47,7 @@ from oracles import (
     nx_chordal_cliques,
     orbit_contract_to_maximal,
     scan_uncovered,
+    star_walk_build_td,
     subgraph_verify_td,
 )
 from test_chordal import _graphs_built
@@ -207,44 +208,112 @@ def test_build_td_examples():
     assert len(td.tree) == 1 and set(td.bags.values()) == {frozenset(g.vertices)}
 
 
-def _same_as_closure(g, seps, td=None):
-    """The star-rule tree equals the closure oracle's: node names, bags, edges."""
+def _same_as_oracles(g, seps, td=None, closure=True):
+    """The laminar-pass tree equals the star walk's and, if closure is set,
+    the closure oracle's: node names in order, bags and edges."""
     td = build_td_from_nested(g, seps) if td is None else td
-    oracle = closure_build_td(g, seps)
-    assert td.tree.vertices == oracle.tree.vertices
-    assert td.to_json_dict() == oracle.to_json_dict()
+    for oracle in (star_walk_build_td, closure_build_td) if closure else (star_walk_build_td,):
+        want = oracle(g, seps)
+        assert td.tree.vertices == want.tree.vertices
+        assert td.to_json_dict() == want.to_json_dict()
 
 
 def test_build_td_matches_closure_on_suite1(suite1):
     for g, res in suite1:
-        _same_as_closure(g, res["nested_set"].union, res["td"])
+        _same_as_oracles(g, res["nested_set"].union, res["td"])
 
 
 @pytest.mark.parametrize("t", range(2, 9))
 def test_build_td_matches_closure_on_stars(t):
     g = star(t)
-    _same_as_closure(g, construct_N(g).union)
+    _same_as_oracles(g, construct_N(g).union)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("n", [20, 25, 30, 35, 40])
 def test_build_td_matches_closure_on_ktrees(n, k):
     g = ktree(n, k, seed=n + k)
-    _same_as_closure(g, construct_N(g).union)
+    _same_as_oracles(g, construct_N(g).union)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(4, 40))
 def test_build_td_matches_closure_on_random_chordal(seed, n):
     g = random_chordal(n, seed)
-    _same_as_closure(g, construct_N(g).union)
+    _same_as_oracles(g, construct_N(g).union)
 
 
 def test_build_td_matches_closure_on_c6_windows(c6z_artifacts):
     res = fold_pipeline(cycle_z_presentation(6), 4)
-    _same_as_closure(res.window.window, res.nested.union, res.td)
+    _same_as_oracles(res.window.window, res.nested.union, res.td)
     _, win, nested, td = c6z_artifacts
-    _same_as_closure(win.window, nested.union, td)
+    _same_as_oracles(win.window, nested.union, td)
+
+
+def _nested_subset(g, pick):
+    """Some members of g's canonical nested set: an arbitrary nested set."""
+    seps = sorted(construct_N(g).union, key=by_key)
+    return {s for s in seps if pick(s)}
+
+
+def test_build_td_matches_oracles_on_nested_subsets():
+    rng = random.Random(20240618)
+    graphs = [random_chordal(rng.randint(4, 30), seed) for seed in range(20)]
+    graphs += [star(5), ktree(20, 2, seed=1), ktree(20, 3, seed=2), path(9)]
+    for g in graphs:
+        for p in (0.2, 0.5, 0.8):
+            _same_as_oracles(g, _nested_subset(g, lambda s: rng.random() < p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 30), st.data())
+def test_build_td_matches_oracles_on_nested_subsets_hypothesis(seed, n, data):
+    g = random_chordal(n, seed)
+    _same_as_oracles(g, _nested_subset(g, lambda s: data.draw(st.booleans())))
+
+
+def test_build_td_matches_oracles_on_random_nested_sets():
+    # separations of random separators, with the components of G - S on
+    # random sides, kept greedily while nested: neither tight nor cliques
+    rng = random.Random(20240619)
+    for _ in range(60):
+        g = random_chordal(rng.randint(4, 22), rng.randint(0, 10**6))
+        seps = []
+        for _ in range(40):
+            sep = frozenset(rng.sample(g.vertices, rng.randint(1, min(3, len(g) - 1))))
+            comps = [c for c, _ in g.components_after_deletion(sep)]
+            if len(comps) < 2:
+                continue
+            rng.shuffle(comps)
+            sides = [set(sep) | comps[0], set(sep) | comps[1]]
+            for c in comps[2:]:
+                sides[rng.randrange(2)].update(c)
+            s = Separation(frozenset(sides[0]), frozenset(sides[1]))
+            if all(relate(s, t) == NESTED for t in seps) and s not in seps:
+                seps.append(s)
+        _same_as_oracles(g, seps)
+
+
+def test_build_td_with_equal_strict_sides_towards_the_root():
+    # the path f-a-b, the triangle b, c, d and the pendant e at d; the root
+    # is at e, and towards it the first two separations have the strict side {a, f}
+    edges = [("f", "a"), ("a", "b"), ("b", "c"), ("b", "d"), ("c", "d"), ("d", "e")]
+    g = Graph("abcdef", edges)
+    seps = {
+        Separation(frozenset("abf"), frozenset("bcde")),
+        Separation(frozenset("abcf"), frozenset("bcde")),
+        Separation(frozenset("abcdf"), frozenset("de")),
+    }
+    td = build_td_from_nested(g, seps)
+    bags = {t: "".join(sorted(b)) for t, b in td.bags.items()}
+    assert bags == {"t0": "de", "t1": "bcd", "t2": "bc", "t3": "abf"}
+    assert td.tree.edges() == [("t0", "t1"), ("t1", "t2"), ("t2", "t3")]
+    _same_as_oracles(g, seps, td)
+
+
+def test_build_td_matches_star_walk_on_the_f2_window(f2_presentation):
+    g = derive_window(f2_presentation, 2).window
+    _same_as_oracles(g, construct_N(g).union, closure=False)
 
 
 def test_build_td_rejects_bad_input():
