@@ -51,10 +51,6 @@ class ImproperSeparation(CliquedecError):
     pass
 
 
-class NestednessViolation(CliquedecError):
-    """Post-hoc nestedness assertion failed; indicates a bug, never expected."""
-
-
 class InvariantViolation(CliquedecError):
     """A checked invariant of a construction failed; indicates a bug, never expected."""
 

@@ -13,11 +13,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .chordal import clique_tree, maximal_cliques
-from .errors import (
-    EmptyBottleneckSelection,
-    NestednessViolation,
-    PreconditionViolated,
-)
+from .errors import EmptyBottleneckSelection, PreconditionViolated
 from .graph import Graph
 from .separations import (
     CROSSING,
@@ -60,6 +56,8 @@ def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> Ne
     labels in node order.  Supplied bottlenecks are each taken as one part.
     A part with one candidate selects it whatever it crosses, so crossings
     are counted only for the candidates of parts that have a choice.
+    No pairwise test checks nestedness here: `build_td_from_nested`
+    certifies it in one pass, and `verify_N` is the full pairwise check.
     """
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
@@ -78,7 +76,7 @@ def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> Ne
 
     result = NestedSetLevels()
     for k in sorted(by_order):
-        pool = sorted({s for seps in by_order[k] for s in seps}, key=by_key)
+        pool = list({s for seps in by_order[k] for s in seps})
         # nested with everything chosen at the lower levels
         allowed = {s for s in pool if all(relate(s, t) == NESTED for t in result.union)}
         xk: Dict[Separation, int] = {}
@@ -93,10 +91,6 @@ def construct_N(g: Graph, bottlenecks: Sequence[Bottleneck] | None = None) -> Ne
                 best = min(xk[s] for s in candidates)
                 candidates = [s for s in candidates if xk[s] == best]
             chosen_level.update(candidates)
-        # same-level mutual nestedness is guaranteed, not arranged; verify
-        for s, t in combinations(sorted(chosen_level, key=by_key), 2):
-            if relate(s, t) == CROSSING:
-                raise NestednessViolation(f"{s} crosses {t} within level {k}")
         result.levels[k] = chosen_level
         result.union |= chosen_level
     return result

@@ -9,6 +9,7 @@ never by enumerating its elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import InvariantViolation, TooLarge
@@ -16,7 +17,7 @@ from .graph import Graph
 from .treedec import TreeDecomposition, classify_td
 
 GROUP_ORDER_BOUND = 10**6
-# extend() calls per automorphism_generators run: a search that fails may
+# search nodes per automorphism_generators run: a search that fails may
 # backtrack through exponentially many partial maps.
 AUTOMORPHISM_BUDGET = 100_000
 
@@ -59,6 +60,35 @@ def is_automorphism(g: Graph, phi: Dict[str, str]) -> bool:
     )
 
 
+def _depth_first(points, images, fits, mapping: Dict[str, str], enter=lambda: None):
+    """Yield each completion of mapping to the later points, depth first:
+    points[i] is tried on images[i] in order where fits(point, image,
+    mapping, used) holds, `used` being the mapping's images.  An explicit
+    stack keeps the images left at each level, so the depth is not bounded
+    by the recursion limit.  enter() runs at each search node."""
+    start, used, levels = len(mapping), set(mapping.values()), []
+    while True:
+        enter()
+        if len(mapping) == len(points):
+            yield dict(mapping)
+        else:
+            levels.append(iter(images[len(mapping)]))
+        while levels:  # the next image at the deepest open level
+            v = points[start + len(levels) - 1]
+            used.discard(mapping.pop(v, None))  # its last image is done with
+            for w in levels[-1]:
+                if w not in used and fits(v, w, mapping, used):
+                    mapping[v] = w
+                    used.add(w)
+                    break
+            else:
+                levels.pop()
+                continue
+            break
+        else:
+            return
+
+
 def automorphism_generators(g: Graph) -> AutomorphismSet:
     """A strong generating set of Aut(G) via a Schreier-Sims-style
     stabilizer chain over the base `g.vertices`.
@@ -77,6 +107,7 @@ def automorphism_generators(g: Graph) -> AutomorphismSet:
     vertices = list(g.vertices)
     n = len(vertices)
     identity = {v: v for v in vertices}
+    images = [vertices] * n  # every vertex may map to every vertex
     generators: List[Dict[str, str]] = []
     root: Dict[str, str] = {}  # union-find parent links, union by size
     size = dict.fromkeys(vertices, 1)
@@ -94,8 +125,7 @@ def automorphism_generators(g: Graph) -> AutomorphismSet:
             mapping[u] for u in g.neighbors(v) if u in mapping
         } == g.neighbors(w) & used
 
-    def extend(mapping: Dict[str, str], used: set) -> Optional[Dict[str, str]]:
-        """Complete a map of a prefix of the base to an automorphism."""
+    def count() -> None:
         nonlocal nodes
         nodes += 1
         if nodes > AUTOMORPHISM_BUDGET:
@@ -103,20 +133,6 @@ def automorphism_generators(g: Graph) -> AutomorphismSet:
                 f"automorphism search budget is {AUTOMORPHISM_BUDGET} nodes, "
                 f"reached {nodes} on {n} vertices"
             )
-        if len(mapping) == n:
-            return dict(mapping)
-        v = vertices[len(mapping)]
-        for w in vertices:
-            if w in used or not fits(v, w, mapping, used):
-                continue
-            mapping[v] = w
-            used.add(w)
-            res = extend(mapping, used)
-            if res is not None:
-                return res
-            del mapping[v]
-            used.discard(w)
-        return None
 
     for i in reversed(range(n)):
         v = vertices[i]
@@ -125,10 +141,11 @@ def automorphism_generators(g: Graph) -> AutomorphismSet:
         for w in vertices[i + 1:]:
             if find(w) == find(v):
                 continue
+            phi = None
             if g.neighbors(v) - {w} == g.neighbors(w) - {v}:
                 phi = {**identity, v: w, w: v}
-            else:
-                phi = extend({**fixed, v: w}, used | {w}) if fits(v, w, fixed, used) else None
+            elif fits(v, w, fixed, used):
+                phi = next(_depth_first(vertices, images, fits, {**fixed, v: w}, count), None)
             if phi is None:
                 continue
             if not is_automorphism(g, phi):
@@ -163,32 +180,12 @@ def _tree_automorphisms_for(
     by_bag: Dict[FrozenSet[str], List[str]] = {}
     for t in nodes:
         by_bag.setdefault(td.bags[t], []).append(t)
-    candidates = [
-        by_bag.get(frozenset(gamma[v] for v in td.bags[t]), ()) for t in nodes
-    ]
-    found: List[Dict[str, str]] = []
+    candidates = [by_bag.get(frozenset(gamma[v] for v in td.bags[t]), ()) for t in nodes]
 
-    def backtrack(mapping: Dict[str, str], used: set) -> None:
-        if len(mapping) == len(nodes):
-            found.append(dict(mapping))
-            return
-        t = nodes[len(mapping)]
-        for s in candidates[len(mapping)]:
-            if s in used or any(
-                u in mapping and mapping[u] not in tree.neighbors(s)
-                for u in tree.neighbors(t)
-            ):
-                continue
-            mapping[t] = s
-            used.add(s)
-            backtrack(mapping, used)
-            if len(found) >= limit:
-                return
-            del mapping[t]
-            used.discard(s)
+    def fits(t: str, s: str, mapping: Dict[str, str], used: set) -> bool:
+        return all(mapping[u] in tree.neighbors(s) for u in tree.neighbors(t) if u in mapping)
 
-    backtrack({}, set())
-    return found
+    return list(islice(_depth_first(nodes, candidates, fits, {}), limit))
 
 
 def verify_canonical_td(g: Graph, td: TreeDecomposition, aut: AutomorphismSet) -> dict:

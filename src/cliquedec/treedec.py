@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from itertools import combinations, compress
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .chordal import maximal_cliques
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .graph import Graph, _json_list, _json_object, _json_pair, _json_strings
-from .separations import CROSSING, Separation, by_key, classify, relate
+from .separations import CROSSING, Separation, by_key, relate
 
 
 @dataclass(frozen=True)
@@ -114,40 +115,46 @@ def verify_td(g: Graph, td: TreeDecomposition) -> dict:
     excess = Counter(v for b in td.bags.values() for v in b)
     excess.subtract(v for t, u in td.tree.edges() for v in td.bags[t] & td.bags[u])
     report = {
-        "ok": True,
         "uncovered_vertices": uncovered_vertices,
         "uncovered_edges": uncovered_edges,
         "disconnected": [v for v in g.vertices if excess[v] > 1],
     }
-    report["ok"] = not (
-        report["uncovered_vertices"] or report["uncovered_edges"] or report["disconnected"]
-    )
-    return report
+    return {"ok": not any(report.values()), **report}
+
+
+def _edge_sides(g: Graph, td: TreeDecomposition) -> Dict[Tuple[str, str], Tuple[int, int]]:
+    """The unions of the bags on the two sides of each tree edge, keyed by both
+    its orientations, as bitmasks over g.key, from the tree rooted at its first
+    node: below each node by post-order, the rest by prefix and suffix unions
+    over siblings.  Raises InvariantViolation if an adhesion is not the separator."""
+    bag = {t: sum(1 << g.key(v) for v in b) for t, b in td.bags.items()}
+    order, children = list(td.tree.vertices[:1]), {}
+    for p in order:  # breadth first, growing as it goes
+        children[p] = [c for c in td.tree.neighbors(p) if c not in children]
+        order += children[p]
+    below, rest, sides = dict(bag), dict.fromkeys(order, 0), {}
+    for p in reversed(order):
+        for c in children[p]:
+            below[p] |= below[c]
+    for p in order:
+        elder, younger = rest[p] | bag[p], 0  # the prefix and the suffix
+        for c, d in zip(children[p], reversed(children[p])):
+            rest[c], elder = rest[c] | elder, elder | below[c]
+            rest[d], younger = rest[d] | younger, younger | below[d]
+        for c in children[p]:
+            if below[c] & rest[c] != bag[p] & bag[c]:
+                raise InvariantViolation(f"adhesion of tree edge {(p, c)!r} is not the separator")
+            sides[p, c] = sides[c, p] = below[c], rest[c]
+    return sides
 
 
 def induced_separation(g: Graph, td: TreeDecomposition, f: Tuple[str, str]) -> Separation:
     """The separation {A1, A2} with Ai = union of bags on side i of tree edge f."""
-    t1, t2 = f
-    if not td.tree.has_edge(t1, t2):
+    if not td.tree.has_edge(*f):
         raise ValueError(f"{f!r} is not a tree edge")
-    side1 = _tree_side(td.tree, t1, t2)
-    a1 = frozenset().union(*(td.bags[t] for t in side1))
-    a2 = frozenset().union(*(td.bags[t] for t in set(td.tree.vertices) - side1))
-    s = Separation(a1, a2)
-    if s.separator != td.bags[t1] & td.bags[t2]:
-        raise InvariantViolation(f"adhesion of tree edge {f!r} is not the separator")
-    return s
-
-
-def _tree_side(tree: Graph, t1: str, t2: str) -> Set[str]:
-    """Nodes on t1's side of the tree edge t1-t2."""
-    side, stack = {t1, t2}, [t1]
-    while stack:
-        for w in tree.neighbors(stack.pop()) - side:
-            side.add(w)
-            stack.append(w)
-    side.discard(t2)
-    return side
+    # bit i of a side is the i-th binary digit from the right
+    return Separation(*(frozenset(compress(g.vertices, map(int, bin(m)[:1:-1])))
+                        for m in _edge_sides(g, td)[f]))
 
 
 # -- building the tree from a nested set --------------------------------
@@ -160,17 +167,19 @@ def build_td_from_nested(g: Graph, n: Iterable[Separation]) -> TreeDecomposition
     no separator, the strict sides A - B form a laminar family; the node
     behind (A, B) is (B, A) with the maximal sides inside A - B, and the
     root holds the maximal sides.  A bag is the intersection of the B-sides
-    of its star.  The edge-to-separation bijection is verified before returning.
+    of its star.
+
+    One certificate stands in for a pairwise nestedness test: the tree
+    passes `verify_td` and each edge induces its own separation, so n is
+    the separation set of one tree, which is nested.  Only if it fails are
+    the pairs scanned, so that NotNested names a crossing pair.
     """
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
     seps = sorted(set(n), key=by_key)
-    for i, s in enumerate(seps):
+    for s in seps:
         if s.sideA <= s.sideB or s.sideB <= s.sideA:
             raise ImproperSeparation(f"{s} is improper")
-        for t in seps[i + 1 :]:
-            if relate(s, t) == CROSSING:
-                raise NotNested(f"{s} crosses {t}")
 
     if not seps:
         return TreeDecomposition(tree=Graph(["t0"]), bags={"t0": frozenset(g.vertices)})
@@ -212,11 +221,16 @@ def build_td_from_nested(g: Graph, n: Iterable[Separation]) -> TreeDecomposition
         tree=Graph([names[t] for t in nodes], [(names[q], names[p]) for p, q in ends]),
         bags={names[t]: bags[t] for t in nodes},
     )
-    if not verify_td(g, td)["ok"]:
-        raise InvariantViolation("constructed decomposition failed verify_td")
-    induced = {induced_separation(g, td, e) for e in td.tree.edges()}
-    if induced != set(seps):
-        raise InvariantViolation("tree edges do not biject onto the separations")
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    sides = _edge_sides(g, td) if verify_td(g, td)["ok"] else {}
+    for s, (p, q) in zip(seps, ends):
+        a, b = (sum(map(bit.__getitem__, side)) for side in (s.sideA, s.sideB))
+        if sides.get((names[p], names[q])) not in ((a, b), (b, a)):
+            for s1, s2 in combinations(seps, 2):
+                if relate(s1, s2) == CROSSING:
+                    raise NotNested(f"{s1} crosses {s2}")
+            check = "its edge-to-separation bijection" if sides else "verify_td"
+            raise InvariantViolation(f"constructed decomposition failed {check}")
     return td
 
 
@@ -224,9 +238,8 @@ def build_td_from_nested(g: Graph, n: Iterable[Separation]) -> TreeDecomposition
 
 
 def classify_td(g: Graph, td: TreeDecomposition) -> TDClassification:
-    regular = all(
-        classify(g, induced_separation(g, td, e)).proper for e in td.tree.edges()
-    )
+    """Regular (every edge's strict sides non-empty, by `_edge_sides`), into (maximal) cliques."""
+    regular = all(a & ~b and b & ~a for a, b in _edge_sides(g, td).values())
     bags = list(td.bags.values())
     into_cliques = all(g.is_clique(b) for b in bags)
     return TDClassification(
@@ -304,8 +317,7 @@ def disjoint_union_bags_lemma_check(g: Graph, td: TreeDecomposition) -> bool:
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
     for b in td.bags.values():
-        sub = g.induced(b)
-        for comp in sub.components():
+        for comp in g.induced(b).components():
             if not g.is_clique(comp):
                 raise PreconditionViolated(
                     f"bag {sorted(b)} is not a disjoint union of complete graphs"

@@ -1,16 +1,16 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with ten exceptions: `flow_min_separators` builds on the package's
+with eleven exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
 and `classify`, which the separation tests check on their own,
 `all_images_automorphisms` and `scan_automorphism_generators` on the
 colour refinement `_refine_colors` (the latter also on the
 `AutomorphismSet` record and the symmetry module's two bounds),
-`closure_build_td` on the validation and post-checks of the tree
-construction it is compared against, `star_walk_build_td` on the same
-and on the sort key `by_key`, `explicit_part` on
+`closure_build_td` on `verify_td` and the tree check `_check_tree`,
+`star_walk_build_td` on `verify_td` and the sort key `by_key`,
+`first_crossing_pair` on `by_key` and `relate`, `explicit_part` on
 `separation_from_separator`, `pairwise_construct_N` on `beta`
 (checked against `explicit_beta`), `crossing_count` and `relate`,
 `hole_searching_maximal_cliques` on `is_chordal`, `clique_tree` and the
@@ -52,6 +52,16 @@ checked for adjacency and non-adjacency against every mapped node.
 `star_walk_build_td` is `build_td_from_nested` as it was before the
 laminar pass: each oriented separation walks all of them in ascending
 order for the minimal ones above it, and its node is read off that star.
+`tree_side` and `bfs_induced_separation` are `induced_separation` as it
+was before one pass over the tree gave every edge's sides: a search of
+the tree for one edge's side, and the union of the bags on each side;
+the tree constructions above certify their edges with it.
+`first_crossing_pair` is the pairwise nestedness test that
+`build_td_from_nested` ran on every input before its one-pass
+certificate (`construct_N` ran the same test on each order's selection),
+and `pairwise_nestedness_verdict` is that function's verdict of the time:
+properness, then the pairwise test.  `pairwise_construct_N` keeps the
+per-level test and its own `NestednessViolation`.
 `orbit_contract_to_maximal` is `contract_to_maximal` as it was before it
 contracted single edges only: it takes a partition of the tree edges into
 orbits, contracts an orbit only if it is a matching, and raises its own
@@ -89,7 +99,6 @@ from cliquedec.errors import (
     EmptyBottleneckSelection,
     ImproperSeparation,
     InvariantViolation,
-    NestednessViolation,
     NotATree,
     NotNested,
     PreconditionViolated,
@@ -115,12 +124,7 @@ from cliquedec.symmetry import (
     AutomorphismSet,
     _refine_colors,
 )
-from cliquedec.treedec import (
-    TreeDecomposition,
-    _check_tree,
-    induced_separation,
-    verify_td,
-)
+from cliquedec.treedec import TreeDecomposition, _check_tree, verify_td
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -690,7 +694,7 @@ def closure_build_td(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
     (O(m^3)), the results are merged with a union-find, and each bag is
     intersected over the down-closure of its class.  From the package it
     uses `classify`, `relate` and `CROSSING` for the validation, and
-    `_check_tree`, `verify_td`, `induced_separation` and
+    `_check_tree`, `verify_td`, `bfs_induced_separation` and
     `TreeDecomposition` for the post-checks and the result.
     """
     if not g.is_connected():
@@ -776,11 +780,56 @@ def closure_build_td(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
     _check_tree(td.tree)
     if not verify_td(g, td)["ok"]:
         raise InvariantViolation("constructed decomposition failed verify_td")
-    induced = {induced_separation(g, td, e) for e in td.tree.edges()}
+    induced = {bfs_induced_separation(g, td, e) for e in td.tree.edges()}
     if induced != set(seps):
         raise InvariantViolation("tree edges do not biject onto the separations")
     return td
 
+
+
+def tree_side(tree: Graph, t1: str, t2: str) -> Set[str]:
+    """Nodes on t1's side of the tree edge t1-t2."""
+    side, stack = {t1, t2}, [t1]
+    while stack:
+        for w in tree.neighbors(stack.pop()) - side:
+            side.add(w)
+            stack.append(w)
+    side.discard(t2)
+    return side
+
+
+def bfs_induced_separation(g: Graph, td: TreeDecomposition, f: Tuple[str, str]) -> Separation:
+    """The separation {A1, A2} with Ai = union of bags on side i of tree
+    edge f, from one search of the tree for f alone."""
+    t1, t2 = f
+    if not td.tree.has_edge(t1, t2):
+        raise ValueError(f"{f!r} is not a tree edge")
+    side1 = tree_side(td.tree, t1, t2)
+    a1 = frozenset().union(*(td.bags[t] for t in side1))
+    a2 = frozenset().union(*(td.bags[t] for t in set(td.tree.vertices) - side1))
+    s = Separation(a1, a2)
+    if s.separator != td.bags[t1] & td.bags[t2]:
+        raise InvariantViolation(f"adhesion of tree edge {f!r} is not the separator")
+    return s
+
+
+def first_crossing_pair(seps: Iterable[Separation]) -> Optional[Tuple[Separation, Separation]]:
+    """The first pair of seps in key order that crosses, by one `relate`
+    per pair, or None if seps is nested."""
+    for s, t in itertools.combinations(sorted(set(seps), key=by_key), 2):
+        if relate(s, t) == CROSSING:
+            return s, t
+    return None
+
+
+def pairwise_nestedness_verdict(g: Graph, n: Iterable[Separation]) -> str:
+    """What `build_td_from_nested` raises on n, or "ok", by the checks it
+    made before its certificate: properness of each separation, then every
+    pair tested for crossing."""
+    seps = set(n)
+    if any(s.sideA <= s.sideB or s.sideB <= s.sideA for s in seps):
+        return "ImproperSeparation"
+    return "ok" if first_crossing_pair(seps) is None else "NotNested"
 
 
 def star_walk_build_td(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
@@ -795,7 +844,7 @@ def star_walk_build_td(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
     Every oriented separation walks all of them in ascending order
     (O(m^2) frozenset comparisons, times the star's size).  From the
     package it uses `classify`, `relate`, `CROSSING` and `by_key` for the
-    validation, and `verify_td`, `induced_separation` and
+    validation, and `verify_td`, `bfs_induced_separation` and
     `TreeDecomposition` for the post-checks and the result.
     """
     if not g.is_connected():
@@ -843,7 +892,7 @@ def star_walk_build_td(g: Graph, n: Iterable[Separation]) -> TreeDecomposition:
     td = TreeDecomposition(tree=Graph([names[x] for x in nodes], edges), bags=bags)
     if not verify_td(g, td)["ok"]:
         raise InvariantViolation("constructed decomposition failed verify_td")
-    induced = {induced_separation(g, td, e) for e in td.tree.edges()}
+    induced = {bfs_induced_separation(g, td, e) for e in td.tree.edges()}
     if induced != set(seps):
         raise InvariantViolation("tree edges do not biject onto the separations")
     return td
@@ -1133,6 +1182,10 @@ def scan_uncovered(
     vertices = [v for v in g.vertices if v not in covered]
     edges = [(u, v) for u, v in g.edges() if not any(u in b and v in b for b in bags)]
     return vertices, edges
+
+
+class NestednessViolation(CliquedecError):
+    """Two separations selected at one order cross."""
 
 
 class OrbitNotMatching(CliquedecError):

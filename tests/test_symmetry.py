@@ -1,7 +1,9 @@
 """Automorphism generators and canonicity of decompositions."""
 
+import inspect
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -338,3 +340,23 @@ def test_nested_set_invariance_end_to_end(suite1):
         n = res["nested_set"]
         for phi in res["aut"].generators:
             assert {s.apply(dict(phi)) for s in n.union} == n.union
+
+
+def test_searches_run_deeper_than_the_recursion_limit():
+    """Both searches keep their own stack: with 100 frames to spare, the
+    generators of path(300) and their actions on its 299-node tree match
+    the recursive oracles, run before the limit is lowered."""
+    g = path(300)
+    td = build_td_from_nested(g, construct_N(g).union)
+    want = scan_automorphism_generators(g)
+    actions = [scan_tree_automorphisms(td, gamma, 2) for gamma in want.generators]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        aut = automorphism_generators(g)
+        report = verify_canonical_td(g, td, aut)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert aut == want and aut.group_order == 2
+    assert report["canonical"] and report["classification"].regular
+    assert [[e["action"]] for e in report["per_generator"]] == actions

@@ -16,6 +16,7 @@ from cliquedec.errors import (
     NotATree,
     NotNested,
     PreconditionViolated,
+    UnknownVertex,
 )
 from cliquedec.covers import derive_window, fold_pipeline
 from cliquedec.graph import Graph
@@ -30,7 +31,7 @@ from cliquedec.instances import (
     two_triangles,
 )
 from cliquedec.nested import construct_N
-from cliquedec.separations import NESTED, Separation, by_key, relate
+from cliquedec.separations import CROSSING, NESTED, Separation, by_key, relate
 from cliquedec.treedec import (
     TreeDecomposition,
     build_td_from_nested,
@@ -43,9 +44,11 @@ from cliquedec.treedec import (
 )
 
 from oracles import (
+    bfs_induced_separation,
     closure_build_td,
     nx_chordal_cliques,
     orbit_contract_to_maximal,
+    pairwise_nestedness_verdict,
     scan_uncovered,
     star_walk_build_td,
     subgraph_verify_td,
@@ -272,23 +275,29 @@ def test_build_td_matches_oracles_on_nested_subsets_hypothesis(seed, n, data):
     _same_as_oracles(g, _nested_subset(g, lambda s: data.draw(st.booleans())))
 
 
+def _random_separations(g, rng, tries):
+    """Proper separations of g at random separators of up to three
+    vertices, with the components of G - S on random sides: neither tight
+    nor cliques, and some crossing."""
+    for _ in range(tries):
+        sep = frozenset(rng.sample(g.vertices, rng.randint(1, min(3, len(g) - 1))))
+        comps = [c for c, _ in g.components_after_deletion(sep)]
+        if len(comps) < 2:
+            continue
+        rng.shuffle(comps)
+        sides = [set(sep) | comps[0], set(sep) | comps[1]]
+        for c in comps[2:]:
+            sides[rng.randrange(2)].update(c)
+        yield Separation(frozenset(sides[0]), frozenset(sides[1]))
+
+
 def test_build_td_matches_oracles_on_random_nested_sets():
-    # separations of random separators, with the components of G - S on
-    # random sides, kept greedily while nested: neither tight nor cliques
+    # random separations, kept greedily while nested
     rng = random.Random(20240619)
     for _ in range(60):
         g = random_chordal(rng.randint(4, 22), rng.randint(0, 10**6))
         seps = []
-        for _ in range(40):
-            sep = frozenset(rng.sample(g.vertices, rng.randint(1, min(3, len(g) - 1))))
-            comps = [c for c, _ in g.components_after_deletion(sep)]
-            if len(comps) < 2:
-                continue
-            rng.shuffle(comps)
-            sides = [set(sep) | comps[0], set(sep) | comps[1]]
-            for c in comps[2:]:
-                sides[rng.randrange(2)].update(c)
-            s = Separation(frozenset(sides[0]), frozenset(sides[1]))
+        for s in _random_separations(g, rng, 40):
             if all(relate(s, t) == NESTED for t in seps) and s not in seps:
                 seps.append(s)
         _same_as_oracles(g, seps)
@@ -329,11 +338,105 @@ def test_build_td_rejects_bad_input():
         build_td_from_nested(g, improper)
 
 
+# -- the certificate: every tree edge induces its own separation ----------
+
+
+def _certified_as_oracles(g, seps):
+    """The certificate's verdict is the pairwise scan's, and on a nested
+    set every tree edge induces the separation that a search of the tree
+    for that edge alone finds."""
+    try:
+        td = build_td_from_nested(g, seps)
+    except (ImproperSeparation, NotNested) as exc:
+        assert type(exc).__name__ == pairwise_nestedness_verdict(g, seps)
+        return
+    assert pairwise_nestedness_verdict(g, seps) == "ok"
+    for e in td.tree.edges():
+        assert induced_separation(g, td, e) == bfs_induced_separation(g, td, e)
+
+
+def test_certificate_matches_oracles_on_suite1(suite1):
+    for g, res in suite1:
+        _certified_as_oracles(g, res["nested_set"].union)
+
+
+@pytest.mark.parametrize("n", [10, 20, 30, 40, 50, 60])
+def test_certificate_matches_oracles_on_random_chordal(n):
+    for seed in range(3):
+        g = random_chordal(n, seed)
+        _certified_as_oracles(g, construct_N(g).union)
+
+
+@pytest.mark.parametrize("L", range(4, 11))
+def test_certificate_matches_oracles_on_c6_windows(L):
+    res = fold_pipeline(cycle_z_presentation(6), L)
+    _certified_as_oracles(res.window.window, res.nested.union)
+
+
+def test_certificate_matches_oracles_on_the_f2_window(f2_presentation):
+    g = derive_window(f2_presentation, 2).window
+    _certified_as_oracles(g, construct_N(g).union)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 24), st.integers(1, 12), st.booleans())
+def test_certificate_matches_oracles_hypothesis(seed, n, tries, improper):
+    # random separations, crossing or not, and now and then an improper one
+    rng = random.Random(seed)
+    g = random_chordal(n, seed)
+    seps = set(_random_separations(g, rng, tries))
+    if improper and seps:
+        seps.add(Separation(frozenset(g.vertices), max(seps, key=by_key).sideB))
+    _certified_as_oracles(g, seps)
+
+
+def test_a_crossing_separation_injected_into_n_raises_not_nested():
+    rng = random.Random(20240620)
+    injected = 0
+    for g in [random_chordal(n, seed) for n in (12, 20, 30) for seed in range(4)] + [star(4)]:
+        n = construct_N(g).union
+        for s in _random_separations(g, rng, 30):
+            t = next((t for t in sorted(n, key=by_key) if relate(s, t) == CROSSING), None)
+            if t is not None:
+                with pytest.raises(NotNested, match="crosses"):
+                    build_td_from_nested(g, n | {s})
+                injected += 1
+    assert injected > 50
+
+
+def test_a_rewired_tree_fails_the_certificate(monkeypatch):
+    real = treedec.TreeDecomposition
+
+    def rewired(tree, bags):
+        """The tree with the bags of its first two leaves swapped."""
+        a, b = [t for t in tree.vertices if tree.degree(t) == 1][:2]
+        return real(tree=tree, bags={**bags, a: bags[b], b: bags[a]})
+
+    monkeypatch.setattr(treedec, "TreeDecomposition", rewired)
+    # the ends of a path: the tree is no decomposition
+    g = path(5)
+    with pytest.raises(InvariantViolation, match="verify_td"):
+        build_td_from_nested(g, construct_N(g).union)
+    # two leaves of a star: a decomposition whose edges induce exactly n,
+    # but each of the two edges induces the other's separation
+    g = star(3)
+    with pytest.raises(InvariantViolation, match="biject"):
+        build_td_from_nested(g, construct_N(g).union)
+    # past verify_td, the ends of the path fail at an adhesion
+    monkeypatch.setattr(treedec, "verify_td", lambda g, td: {"ok": True})
+    g = path(5)
+    with pytest.raises(InvariantViolation, match="adhesion"):
+        build_td_from_nested(g, construct_N(g).union)
+
+
 def test_broken_invariants_raise_typed_errors(monkeypatch):
     # a vertex in two bags that are not adjacent: the adhesion misses it
     td = _td([("t1", "t2"), ("t2", "t3")], {"t1": "ab", "t2": "b", "t3": "ac"})
     with pytest.raises(InvariantViolation, match="adhesion"):
         induced_separation(Graph("abc"), td, ("t1", "t2"))
+    # a bag vertex that the graph lacks
+    with pytest.raises(UnknownVertex):
+        induced_separation(Graph("ab"), _td([("t1", "t2")], {"t1": "ab", "t2": "bz"}), ("t1", "t2"))
     g = star(3)
     seps = construct_N(g).union
     monkeypatch.setattr(treedec, "verify_td", lambda g, td: {"ok": False})
