@@ -320,15 +320,16 @@ def _long_induced_cycle(g: Graph, r: int) -> Optional[List[str]]:
 
     The cycle's canonically-least vertex is forced to the path start,
     which prunes rotations; exponential worst case, fine at desk scale.
+    An explicit stack keeps the neighbours left to try at each path
+    vertex, so the path is not bounded by the recursion limit.
     """
     if len(g) <= r:
         return None
     for start in g.vertices:
         k0 = g.key(start)
-
-        def extend(path, on_path):
-            last = path[-1]
-            for nxt in g.sorted(g.neighbors(last)):
+        path, on_path, left = [start], {start}, [iter(g.sorted(g.neighbors(start)))]
+        while left:
+            for nxt in left[-1]:
                 if g.key(nxt) <= k0 or nxt in on_path:
                     continue
                 # induced: nxt may not touch the path's interior
@@ -340,16 +341,11 @@ def _long_induced_cycle(g: Graph, r: int) -> Optional[List[str]]:
                     continue  # closing chord to start; nxt unusable here
                 path.append(nxt)
                 on_path.add(nxt)
-                found = extend(path, on_path)
-                if found is not None:
-                    return found
-                path.pop()
-                on_path.discard(nxt)
-            return None
-
-        res = extend([start], {start})
-        if res is not None:
-            return res
+                left.append(iter(g.sorted(g.neighbors(nxt))))
+                break
+            else:
+                left.pop()
+                on_path.discard(path.pop())
     return None
 
 

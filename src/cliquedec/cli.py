@@ -29,7 +29,7 @@ from .errors import (
     WindowNotChordal,
 )
 from .graph import Graph
-from .instances import make_instance, star
+from .instances import INSTANCES, make_instance, star
 from .nested import construct_N
 from .symmetry import automorphism_generators, verify_canonical_td
 from .treedec import (
@@ -44,19 +44,10 @@ SCHEMA = "v1"
 DEFAULT_SEED = 20240601
 
 
-def _load_graph(path: str) -> Graph:
+def _load(path: str, reader):
+    """reader(the JSON value in the file at path), e.g. Graph.from_json_dict."""
     with open(path) as fh:
-        return Graph.from_json_dict(json.load(fh))
-
-
-def _load_voltage(path: str) -> VoltagePresentation:
-    with open(path) as fh:
-        return VoltagePresentation.from_json_dict(json.load(fh))
-
-
-def _load_td(path: str) -> TreeDecomposition:
-    with open(path) as fh:
-        return TreeDecomposition.from_json_dict(json.load(fh))
+        return reader(json.load(fh))
 
 
 def _emit(args, report: dict) -> None:
@@ -71,7 +62,7 @@ def _emit(args, report: dict) -> None:
 
 
 def cmd_check_chordal(args) -> int:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, Graph.from_json_dict)
     ok, cert = is_chordal(g)
     if ok:
         _emit(args, {"chordal": True, "elimination_ordering": list(cert.order)})
@@ -81,7 +72,7 @@ def cmd_check_chordal(args) -> int:
 
 
 def cmd_max_cliques(args) -> int:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, Graph.from_json_dict)
     cliques = maximal_cliques(g, require_chordal=False)
     _emit(args, {"maximal_cliques": [sorted(c.vertices) for c in cliques]})
     return 0
@@ -103,7 +94,7 @@ def canonical_td_pipeline(g: Graph) -> dict:
 
 
 def cmd_canonical_td(args) -> int:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, Graph.from_json_dict)
     res = canonical_td_pipeline(g)
     td = res["td"]
     report = {
@@ -120,7 +111,7 @@ def cmd_canonical_td(args) -> int:
 
 
 def cmd_maximal_td(args) -> int:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, Graph.from_json_dict)
     td = contract_to_maximal(g, build_td_from_nested(g, construct_N(g).union))
     # pairwise distinct bags that are the maximal cliques are all cliques
     into_maximal = _bags_are_maximal_cliques(g, list(td.bags.values()))
@@ -129,7 +120,7 @@ def cmd_maximal_td(args) -> int:
 
 
 def cmd_local_chordal(args) -> int:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, Graph.from_json_dict)
     ok, witness = is_r_locally_chordal(g, args.r)
     if ok:
         _emit(args, {"r_locally_chordal": True, "r": args.r})
@@ -140,7 +131,7 @@ def cmd_local_chordal(args) -> int:
 
 
 def cmd_fold(args) -> int:
-    pres = _load_voltage(args.voltage)
+    pres = _load(args.voltage, VoltagePresentation.from_json_dict)
     try:
         gd = fold_pipeline(pres, args.L).gd
     except WindowNotChordal as exc:
@@ -160,8 +151,8 @@ def cmd_fold(args) -> int:
 
 
 def cmd_verify_td(args) -> int:
-    g = _load_graph(args.infile)
-    td = _load_td(args.td)
+    g = _load(args.infile, Graph.from_json_dict)
+    td = _load(args.td, TreeDecomposition.from_json_dict)
     report = verify_td(g, td)
     _emit(args, report)
     return 0 if report["ok"] else 1
@@ -170,7 +161,8 @@ def cmd_verify_td(args) -> int:
 def _base_and_fold(args):
     """Load --in and --voltage, check that --in is the presentation's base
     graph (its vertex and edge sets, in any order), and fold the cover."""
-    g, pres = _load_graph(args.infile), _load_voltage(args.voltage)
+    g = _load(args.infile, Graph.from_json_dict)
+    pres = _load(args.voltage, VoltagePresentation.from_json_dict)
     for h, other, where in ((g, pres.base, "--in"), (pres.base, g, "the base")):
         only = set(h.vertices) - set(other.vertices) or [
             e for e in h.edges() if not other.has_edge(*e)
@@ -288,6 +280,15 @@ def _r_at_least_one(text: str) -> int:
     return int(text)
 
 
+# the flags that several subcommands take
+_SHARED_FLAGS = {
+    "--in": {"dest": "infile", "required": True},
+    "--voltage": {"required": True},
+    "-L": {"type": int, "default": 6},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliquedec",
@@ -296,70 +297,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, handler, help, *flags):
+        """The subcommand, taking --json and then the flags in order: a shared
+        flag by its name, any other as (name, keyword arguments)."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
+        for flag in flags:
+            flag, spec = (flag, _SHARED_FLAGS[flag]) if isinstance(flag, str) else flag
+            p.add_argument(flag, **spec)
 
-    p = add("check-chordal", cmd_check_chordal, help="chordality with certificate")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = add("max-cliques", cmd_max_cliques, help="maximal cliques")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = add("canonical-td", cmd_canonical_td, help="canonical tree-decomposition")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = add("maximal-td", cmd_maximal_td, help="contract to maximal cliques")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = add("local-chordal", cmd_local_chordal, help="r-local chordality")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("-r", type=int, required=True)
-
-    p = add("fold", cmd_fold, help="fold a periodic cover into a graph-decomposition")
-    p.add_argument("--voltage", required=True)
-    p.add_argument("-L", type=int, default=6)
-
-    p = add("verify-td", cmd_verify_td, help="validate a tree-decomposition")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--td", required=True)
-
-    p = add("verify-gd", cmd_verify_gd, help="validate the folded graph-decomposition")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--voltage", required=True)
-    p.add_argument("-L", type=int, default=6)
-
-    p = add("r-acyclic", cmd_r_acyclic, help="r-acyclicity of the folded decomposition")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--voltage", required=True)
-    p.add_argument("-L", type=int, default=6)
-    p.add_argument("-r", type=_r_at_least_one, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = add("reproduce", cmd_reproduce, help="reproduce worked examples")
-    p.add_argument("what", choices=["example-5.1"])
-    p.add_argument("-t", type=int, default=3)
-
-    p = add("gen", cmd_gen, help="emit an instance graph as JSON")
-    p.add_argument(
-        "kind",
-        choices=[
-            "star",
-            "path",
-            "cycle",
-            "complete",
-            "ktree",
-            "random_chordal",
-            "two_triangles",
-            "wheel",
-        ],
-    )
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-t", type=int, default=None)
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add("check-chordal", cmd_check_chordal, "chordality with certificate", "--in")
+    add("max-cliques", cmd_max_cliques, "maximal cliques", "--in")
+    add("canonical-td", cmd_canonical_td, "canonical tree-decomposition", "--in")
+    add("maximal-td", cmd_maximal_td, "contract to maximal cliques", "--in")
+    add("local-chordal", cmd_local_chordal, "r-local chordality",
+        "--in", ("-r", {"type": int, "required": True}))
+    add("fold", cmd_fold, "fold a periodic cover into a graph-decomposition", "--voltage", "-L")
+    add("verify-td", cmd_verify_td, "validate a tree-decomposition",
+        "--in", ("--td", {"required": True}))
+    add("verify-gd", cmd_verify_gd, "validate the folded graph-decomposition",
+        "--in", "--voltage", "-L")
+    add("r-acyclic", cmd_r_acyclic, "r-acyclicity of the folded decomposition",
+        "--in", "--voltage", "-L", ("-r", {"type": _r_at_least_one, "required": True}), "--seed")
+    add("reproduce", cmd_reproduce, "reproduce worked examples",
+        ("what", {"choices": ["example-5.1"]}), ("-t", {"type": int, "default": 3}))
+    add("gen", cmd_gen, "emit an instance graph as JSON", ("kind", {"choices": list(INSTANCES)}),
+        ("-n", {"type": int}), ("-t", {"type": int}), ("-k", {"type": int}), "--seed")
     return parser
 
 

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolated,
     WindowNotChordal,
 )
-from .graph import Graph, _json_list, _json_object, _json_pair
+from .graph import Graph, _json_fields, _json_list, _json_pair
 from .nested import NestedSetLevels, construct_N
 from .separations import Separation, by_key
 from .treedec import (
@@ -130,9 +130,6 @@ class VoltagePresentation:
     def generators(self) -> List[str]:
         return sorted({g for w in self.voltages.values() for g, _ in w})
 
-    def max_voltage_length(self) -> int:
-        return max((len(w) for w in self.voltages.values()), default=0)
-
     def to_json_dict(self) -> dict:
         b = self.base
         cotree = []
@@ -147,22 +144,13 @@ class VoltagePresentation:
 
     @staticmethod
     def from_json_dict(data: dict) -> "VoltagePresentation":
-        unknown = set(_json_object(data, "voltage JSON")) - {"base", "tree_edges", "voltages"}
-        if unknown:
-            raise ValueError(f"unknown fields in voltage JSON: {sorted(unknown)}")
-        if "base" not in data:
-            raise ValueError("voltage JSON lacks the field 'base'")
+        _json_fields(data, "voltage JSON", ("base", "tree_edges", "voltages"), ("base",))
         base = Graph.from_json_dict(data["base"])
         edges = _json_list(data.get("tree_edges", []), "voltage JSON 'tree_edges'")
         tree_edges = frozenset(frozenset(_json_pair(e, "a voltage tree edge")) for e in edges)
         voltages = {}
         for item in _json_list(data.get("voltages", []), "voltage JSON 'voltages'"):
-            extra = set(_json_object(item, "voltage entry")) - {"edge", "word"}
-            if extra:
-                raise ValueError(f"unknown fields in voltage entry: {sorted(extra)}")
-            missing = {"edge", "word"} - set(item)
-            if missing:
-                raise ValueError(f"voltage entry lacks the fields {sorted(missing)}")
+            _json_fields(item, "voltage entry", ("edge", "word"), ("edge", "word"))
             word = item["word"]
             if not isinstance(word, str):
                 raise ValueError(f"voltage entry 'word' must be a string, got {word!r}")
@@ -181,17 +169,16 @@ def _vertex_id(v: str, w: Word) -> str:
 class CoverWindow:
     """Induced subgraph of the derived cover on word length <= radius."""
 
-    presentation: VoltagePresentation
     radius: int
     window: Graph
     boundary: FrozenSet[str]
     base_of: Dict[str, str]
     word_of: Dict[str, Word]
+    step: int  # the longest voltage's length, at least 1
 
     def safe(self, x: str, depth: int) -> bool:
         """Is x at least `depth` voltage-steps away from the word-length cap?"""
-        step = max(1, self.presentation.max_voltage_length())
-        return len(self.word_of[x]) <= self.radius - depth * step
+        return len(self.word_of[x]) <= self.radius - depth * self.step
 
     def translate(self, gamma: Word, x: str) -> Optional[str]:
         """Deck action: left multiplication on the word coordinate."""
@@ -246,12 +233,12 @@ def derive_window(pres: VoltagePresentation, L: int) -> CoverWindow:
     window = Graph(ids, edges)
     boundary = frozenset(x for x in ids if len(word_of[x]) == L)
     return CoverWindow(
-        presentation=pres,
         radius=L,
         window=window,
         boundary=boundary,
         base_of=base_of,
         word_of=word_of,
+        step=max([1, *map(len, pres.voltages.values())]),
     )
 
 
@@ -640,19 +627,17 @@ def r_acyclic_check(g: Graph, gd: GraphDecomposition, r: int, seed: int = 0):
 def _find_cycle(adj: Dict[str, Set[str]]) -> Optional[List[str]]:
     """A cycle of the graph given by neighbour sets, or None; vertices and
     neighbours are visited in name order."""
-    seen = set()
+    parent = {}  # of every vertex reached so far, None at the roots
     for root in sorted(adj):
-        if root in seen:
+        if root in parent:
             continue
-        parent = {root: None}
+        parent[root] = None
         stack = [root]
-        seen.add(root)
         while stack:
             u = stack.pop()
             for w in sorted(adj[u]):
                 if w not in parent:
                     parent[w] = u
-                    seen.add(w)
                     stack.append(w)
                 elif parent[u] != w:
                     # close the cycle through the two tree paths to the root

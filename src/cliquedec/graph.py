@@ -223,9 +223,7 @@ class Graph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Graph":
-        unknown = set(_json_object(data, "graph JSON")) - {"vertices", "edges"}
-        if unknown:
-            raise ValueError(f"unknown fields in graph JSON: {sorted(unknown)}")
+        _json_fields(data, "graph JSON", ("vertices", "edges"))
         vertices = _json_strings(data.get("vertices", []), "graph JSON 'vertices'")
         edges = _json_list(data.get("edges", []), "graph JSON 'edges'")
         return Graph(vertices, [_json_pair(e, "a graph edge") for e in edges])
@@ -234,9 +232,16 @@ class Graph:
 # -- JSON input checks, shared by the readers of every input format ------
 
 
-def _json_object(value, what: str) -> dict:
+def _json_fields(value, what: str, known: Sequence[str], required: Sequence[str] = ()) -> dict:
+    """An object with no field outside known and every field of required."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    unknown = value.keys() - known
+    if unknown:
+        raise ValueError(f"unknown fields in {what}: {sorted(unknown)}")
+    missing = set(required) - value.keys()
+    if missing:
+        raise ValueError(f"{what} lacks the fields {sorted(missing)}")
     return value
 
 

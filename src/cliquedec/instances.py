@@ -111,28 +111,28 @@ def identity_presentation(g: Graph) -> VoltagePresentation:
     return VoltagePresentation(base=g, tree_edges=frozenset(tree), voltages={})
 
 
+# make_instance's kinds, in the order `gen` lists them, each built from
+# get(name, default, least=None): an integer parameter and its lower bound
+INSTANCES = {
+    "star": lambda get: star(get("t", 3, 1)),
+    "path": lambda get: path(get("n", 5, 1)),
+    "cycle": lambda get: cycle(get("n", 6, 3)),
+    "complete": lambda get: complete(get("n", 4, 1)),
+    "ktree": lambda get: ktree(get("n", 8), get("k", 2), get("seed", 0)),
+    "random_chordal": lambda get: random_chordal(get("n", 12, 1), get("seed", 0)),
+    "two_triangles": lambda get: two_triangles(),
+    "wheel": lambda get: wheel(),
+}
+
+
 def make_instance(kind: str, params: Optional[dict] = None) -> Graph:
     """Instance factory used by the CLI's `gen` subcommand."""
     p = params or {}
-    def size(name: str, default: int, least: int) -> int:
+    def get(name: str, default: int, least: Optional[int] = None) -> int:
         value = int(p.get(name, default))
-        if value < least:
+        if least is not None and value < least:
             raise OutOfRange(f"{kind} needs {name} >= {least}, got {value}")
         return value
-    if kind == "star":
-        return star(size("t", 3, 1))
-    if kind == "path":
-        return path(size("n", 5, 1))
-    if kind == "cycle":
-        return cycle(size("n", 6, 3))
-    if kind == "complete":
-        return complete(size("n", 4, 1))
-    if kind == "ktree":
-        return ktree(int(p.get("n", 8)), int(p.get("k", 2)), int(p.get("seed", 0)))
-    if kind == "random_chordal":
-        return random_chordal(size("n", 12, 1), int(p.get("seed", 0)))
-    if kind == "two_triangles":
-        return two_triangles()
-    if kind == "wheel":
-        return wheel()
-    raise ValueError(f"unknown instance kind {kind!r}")
+    if kind not in INSTANCES:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    return INSTANCES[kind](get)

@@ -184,7 +184,9 @@ class _VertexFlow:
         self.cap.setdefault(a, {})[b] = self.cap.get(a, {}).get(b, 0) + c
         self.cap.setdefault(b, {}).setdefault(a, 0)
 
-    def _bfs_augment(self) -> bool:
+    def _residual_search(self) -> Dict:
+        """Predecessors of the nodes reached from s in the residual digraph,
+        breadth first, stopping at t."""
         prev = {"s": None}
         queue = deque(["s"])
         while queue:
@@ -195,29 +197,20 @@ class _VertexFlow:
                 if c > 0 and b not in prev:
                     prev[b] = a
                     queue.append(b)
-        if "t" not in prev:
-            return False
-        b = "t"
-        while prev[b] is not None:
-            a = prev[b]
-            self.cap[a][b] -= 1
-            self.cap[b][a] += 1
-            b = a
-        return True
+        return prev
 
     def _run(self):
-        while self._bfs_augment():
+        while "t" in (prev := self._residual_search()):
+            b = "t"
+            while prev[b] is not None:
+                a = prev[b]
+                self.cap[a][b] -= 1
+                self.cap[b][a] += 1
+                b = a
             self.value += 1
 
     def min_separator(self) -> FrozenSet[str]:
-        seen = {"s"}  # reachable in the residual digraph
-        queue = deque(["s"])
-        while queue:
-            a = queue.popleft()
-            for b, c in self.cap[a].items():
-                if c > 0 and b not in seen:
-                    seen.add(b)
-                    queue.append(b)
+        seen = self._residual_search()  # t is out of reach after the flow
         return frozenset(
             v for v in self.g.vertices if ("in", v) in seen and ("out", v) not in seen
         )

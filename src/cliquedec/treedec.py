@@ -21,8 +21,9 @@ from .errors import (
     NotATree,
     NotNested,
     PreconditionViolated,
+    UnknownVertex,
 )
-from .graph import Graph, _json_list, _json_object, _json_pair, _json_strings
+from .graph import Graph, _json_fields, _json_list, _json_pair, _json_strings
 from .separations import CROSSING, Separation, by_key, relate
 
 
@@ -43,17 +44,10 @@ class TreeDecomposition:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TreeDecomposition":
-        unknown = set(_json_object(data, "tree-decomposition JSON")) - {"nodes", "edges"}
-        if unknown:
-            raise ValueError(f"unknown fields in tree-decomposition JSON: {sorted(unknown)}")
+        _json_fields(data, "tree-decomposition JSON", ("nodes", "edges"))
         bags = {}
         for node in _json_list(data.get("nodes", []), "tree-decomposition JSON 'nodes'"):
-            extra = set(_json_object(node, "node JSON")) - {"id", "bag"}
-            if extra:
-                raise ValueError(f"unknown fields in node JSON: {sorted(extra)}")
-            missing = {"id", "bag"} - set(node)
-            if missing:
-                raise ValueError(f"node JSON lacks the fields {sorted(missing)}")
+            _json_fields(node, "node JSON", ("id", "bag"), ("id", "bag"))
             if not isinstance(node["id"], str):
                 raise ValueError(f"node JSON 'id' must be a string, got {node['id']!r}")
             if node["id"] in bags:
@@ -102,7 +96,8 @@ def _bags_are_maximal_cliques(g: Graph, bags: Sequence[FrozenSet[str]]) -> bool:
 
 def verify_td(g: Graph, td: TreeDecomposition) -> dict:
     """Check coverage (every vertex and edge in some bag) and connectivity
-    of every vertex's node set; failures carry witnesses.
+    of every vertex's node set; failures carry witnesses.  A bag vertex
+    that g lacks raises UnknownVertex.
 
     The nodes holding v span a forest of (nodes - edges) trees, its edges
     being the tree edges whose adhesion holds v; so v's node set is
@@ -111,6 +106,10 @@ def verify_td(g: Graph, td: TreeDecomposition) -> dict:
     _check_tree(td.tree)
     if set(td.bags) != set(td.tree.vertices):
         raise NotATree("bags and tree nodes do not match")
+    for t, b in td.bags.items():
+        foreign = [v for v in b if v not in g]
+        if foreign:
+            raise UnknownVertex(f"the bag of node {t!r} holds {min(foreign)!r}, not in the graph")
     uncovered_vertices, uncovered_edges = _uncovered(g, list(td.bags.values()))
     excess = Counter(v for b in td.bags.values() for v in b)
     excess.subtract(v for t, u in td.tree.edges() for v in td.bags[t] & td.bags[u])

@@ -34,6 +34,9 @@ one induced subgraph per probed path u-v-w, and one ball subgraph per
 centre, decided by the kernels above.  `hole_searching_maximal_cliques`
 is `maximal_cliques(require_chordal=False)` as it was before it skipped
 the hole search.
+`recursive_long_induced_cycle` is the search of `is_r_chordal` as it was
+before it kept its path on an explicit stack: one recursive call per path
+vertex, so a cycle longer than the recursion limit raised RecursionError.
 `scan_fold` is `fold` as it was before one deck-orbit key served bags and
 separations: each bag keyed by the least picture over its members' word
 inverses, model and co-part edges projected by separate loops, and each
@@ -1000,6 +1003,40 @@ def subgraph_r_locally_chordal(g: Graph, r: int):
         if pairwise_verify_peo(sub, quadratic_mcs_order(sub)[::-1]) is not None:
             return False, (v, subgraph_find_hole(sub))
     return True, None
+
+
+def recursive_long_induced_cycle(g: Graph, r: int) -> Optional[List[str]]:
+    """An induced cycle of length > r, or None: one recursive call per path
+    vertex of a depth-first search over induced paths from each start, the
+    cycle's canonically least vertex being the start."""
+    if len(g) <= r:
+        return None
+    for start in g.vertices:
+        k0 = g.key(start)
+
+        def extend(path, on_path):
+            for nxt in g.sorted(g.neighbors(path[-1])):
+                if g.key(nxt) <= k0 or nxt in on_path:
+                    continue
+                if any(g.has_edge(nxt, p) for p in path[1:-1]):
+                    continue
+                if len(path) >= 2 and g.has_edge(nxt, start):
+                    if len(path) + 1 > r:
+                        return path + [nxt]
+                    continue
+                path.append(nxt)
+                on_path.add(nxt)
+                found = extend(path, on_path)
+                if found is not None:
+                    return found
+                path.pop()
+                on_path.discard(nxt)
+            return None
+
+        res = extend([start], {start})
+        if res is not None:
+            return res
+    return None
 
 
 def hole_searching_maximal_cliques(g: Graph) -> List[MaximalClique]:

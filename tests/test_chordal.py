@@ -1,6 +1,8 @@
 """Chordality recognition, cliques, minimal separators, local chordality."""
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,7 @@ from oracles import (
     pairwise_verify_peo,
     quadratic_mcs_order,
     random_graph,
+    recursive_long_induced_cycle,
     subgraph_find_hole,
     subgraph_r_locally_chordal,
 )
@@ -202,6 +205,30 @@ def test_r_chordal_examples():
     assert is_r_chordal(g, 4) == (True, None)
     for seed in range(3):
         assert is_r_chordal(random_chordal(12, seed), 3) == (True, None)
+
+
+def test_r_chordal_matches_the_recursive_search():
+    rng = random.Random(11)
+    graphs = [random_graph(n, p, rng) for n in range(1, 16) for p in (0.15, 0.25, 0.35, 0.5)]
+    graphs += [wheel(), two_triangles(), ktree(10, 2, 3)]
+    graphs.append(derive_window(cycle_z_presentation(5), 2).window)
+    for g in graphs:
+        for r in (3, 4, 5, 7):
+            want = recursive_long_induced_cycle(g, r)
+            assert is_r_chordal(g, r) == (want is None, want)
+
+
+def test_r_chordal_is_not_bounded_by_the_recursion_limit():
+    wants = {n: recursive_long_induced_cycle(cycle(n), 3) for n in (40, 300)}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = {n: is_r_chordal(cycle(n), 3) for n in (40, 300, 1100)}
+    finally:
+        sys.setrecursionlimit(limit)
+    for n, want in wants.items():
+        assert got[n] == (False, want) and len(want) == n
+    assert got[1100] == (False, [f"v{i}" for i in range(1100)])
 
 
 def test_r_locally_chordal_examples():

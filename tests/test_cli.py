@@ -9,11 +9,23 @@ from pathlib import Path
 import pytest
 
 from cliquedec import cli, covers, symmetry, treedec
-from cliquedec.cli import main, reproduce_example_51
+from cliquedec.cli import DEFAULT_SEED, main, reproduce_example_51
 from cliquedec.covers import fold_pipeline, r_acyclic_check
 from cliquedec.errors import PreconditionViolated
 from cliquedec.graph import Graph
-from cliquedec.instances import complete, cycle, cycle_z_presentation, ktree, star, wheel
+from cliquedec.instances import (
+    INSTANCES,
+    complete,
+    cycle,
+    cycle_z_presentation,
+    ktree,
+    make_instance,
+    path,
+    random_chordal,
+    star,
+    two_triangles,
+    wheel,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -151,10 +163,32 @@ _PRES = cycle_z_presentation(6).to_json_dict()
         ("check-chordal", {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, "graph edge"),
         ("check-chordal", {"vertices": [], "edges": [[1, 2]]}, "graph edge"),
         ("check-chordal", {"vertices": "abc", "edges": []}, "'vertices'"),
+        # a bag vertex that the graph lacks, in an otherwise valid decomposition
+        (
+            "verify-td",
+            {"nodes": [_TD_NODE, {"id": "t1", "bag": ["v2", "z"]}], "edges": [["t0", "t1"]]},
+            "the bag of node 't1' holds 'z'",
+        ),
+        # each of the five JSON objects with a field it does not know
+        ("check-chordal", {"vertices": [], "edges": [], "loops": []},
+         "unknown fields in graph JSON: ['loops']"),
+        ("verify-td", {"nodes": [], "edges": [], "root": "t0"},
+         "unknown fields in tree-decomposition JSON: ['root']"),
+        ("verify-td", {"nodes": [{**_TD_NODE, "size": 3}], "edges": []},
+         "unknown fields in node JSON: ['size']"),
+        ("fold", {**_PRES, "L": 3}, "unknown fields in voltage JSON: ['L']"),
+        ("fold", {**_PRES, "voltages": [{**_PRES["voltages"][0], "to": "v0"}]},
+         "unknown fields in voltage entry: ['to']"),
+        # and the three objects nested in a list, or a whole file, that are not objects
+        ("verify-td", {"nodes": [["t0", ["v0"]]], "edges": []}, "node JSON must be an object"),
+        ("fold", [_PRES], "voltage JSON must be an object, got list"),
+        ("fold", {**_PRES, "voltages": ["z"]}, "voltage entry must be an object, got str"),
     ],
     ids=[
         "td-edge", "td-bag", "td-id", "td-list", "td-repeated-id",
-        "word", "edge-list", "edge-ints", "vertices",
+        "word", "edge-list", "edge-ints", "vertices", "td-foreign-bag-vertex",
+        "graph-unknown", "td-unknown", "node-unknown", "voltage-unknown", "entry-unknown",
+        "node-not-object", "voltage-not-object", "entry-not-object",
     ],
 )
 def test_malformed_json_is_an_input_error(tmp_path, capsys, command, data, field):
@@ -372,6 +406,30 @@ def test_r_acyclic(tmp_path, capsys):
     )
     out = _json_out(capsys)
     assert not out["r_acyclic"] and len(out["cycle"]) == 6
+
+
+GEN_DEFAULTS = {
+    "star": star(3),
+    "path": path(5),
+    "cycle": cycle(6),
+    "complete": complete(4),
+    "ktree": ktree(8, 2, DEFAULT_SEED),
+    "random_chordal": random_chordal(12, DEFAULT_SEED),
+    "two_triangles": two_triangles(),
+    "wheel": wheel(),
+}
+
+
+@pytest.mark.parametrize("kind", list(INSTANCES))
+def test_gen_runs_every_kind_with_its_defaults(capsys, kind):
+    assert main(["gen", kind]) == 0
+    assert Graph.from_json_dict(json.loads(capsys.readouterr().out)) == GEN_DEFAULTS[kind]
+
+
+def test_gen_kinds_are_the_instance_table():
+    assert list(GEN_DEFAULTS) == list(INSTANCES)
+    with pytest.raises(ValueError, match="unknown instance kind 'petersen'"):
+        make_instance("petersen")
 
 
 def test_gen_deterministic(tmp_path, capsys):

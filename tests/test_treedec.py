@@ -97,6 +97,13 @@ def test_verify_td_not_a_tree():
         verify_td(g, bad)
 
 
+def test_verify_td_rejects_a_bag_vertex_the_graph_lacks():
+    g = Graph("abc", [("a", "b"), ("b", "c")])
+    td = _td([("t0", "t1")], {"t0": "ab", "t1": "bcz"})
+    with pytest.raises(UnknownVertex, match="node 't1' holds 'z'"):
+        verify_td(g, td)
+
+
 def _inner_bag_drops(td):
     """Copies of td with one vertex dropped from the bag of one inner node."""
     for t in td.tree.vertices:
