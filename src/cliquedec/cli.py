@@ -96,9 +96,8 @@ def canonical_td_pipeline(g: Graph) -> dict:
 def cmd_canonical_td(args) -> int:
     g = _load(args.infile, Graph.from_json_dict)
     res = canonical_td_pipeline(g)
-    td = res["td"]
     report = {
-        "decomposition": td.to_json_dict(),
+        "decomposition": res["td"].to_json_dict(),
         "canonical": res["canonical"],
         "regular": res["classification"].regular,
         "into_cliques": res["classification"].into_cliques,
@@ -138,15 +137,8 @@ def cmd_fold(args) -> int:
         _emit(args, {"window_chordal": False, "hole": exc.hole})
         return 1
     vr = verify_graph_decomposition(pres.base, gd)
-    _emit(
-        args,
-        {
-            "decomposition": gd.to_json_dict(),
-            "ok": vr["ok"],
-            "into_cliques": vr["into_cliques"],
-            "into_maximal_cliques": vr["into_maximal_cliques"],
-        },
-    )
+    verdicts = {k: vr[k] for k in ("ok", "into_cliques", "into_maximal_cliques")}
+    _emit(args, {"decomposition": gd.to_json_dict(), **verdicts})
     return 0 if vr["ok"] else 1
 
 
@@ -217,9 +209,7 @@ def reproduce_example_51(t: int) -> dict:
         raise OutOfRange("t must be between 3 and 6")
     g = star(t)
     aut = automorphism_generators(g)
-    cliques = sorted(
-        (c.vertices for c in maximal_cliques(g)), key=lambda c: sorted(c)
-    )
+    cliques = sorted((c.vertices for c in maximal_cliques(g)), key=lambda c: sorted(c))
     if len(cliques) != t:
         raise InvariantViolation(f"star({t}) has {len(cliques)} maximal cliques")
     candidates = 0
@@ -239,9 +229,7 @@ def reproduce_example_51(t: int) -> dict:
         "candidate_trees": candidates,
         "canonical_into_maximal": canonical,
         "star_decomposition_canonical": res["canonical"],
-        "star_decomposition_into_maximal_cliques": res[
-            "classification"
-        ].into_maximal_cliques,
+        "star_decomposition_into_maximal_cliques": res["classification"].into_maximal_cliques,
     }
 
 

@@ -132,14 +132,13 @@ class VoltagePresentation:
 
     def to_json_dict(self) -> dict:
         b = self.base
-        cotree = []
-        for u, v in b.edges():
-            if frozenset((u, v)) not in self.tree_edges:
-                cotree.append({"edge": [u, v], "word": word_str(self.voltages[(u, v)])})
         return {
             "base": b.to_json_dict(),
             "tree_edges": [sorted(e, key=b.key) for e in self.tree_edges],
-            "voltages": cotree,
+            "voltages": [
+                {"edge": [u, v], "word": word_str(self.voltages[(u, v)])}
+                for u, v in b.edges() if frozenset((u, v)) not in self.tree_edges
+            ],
         }
 
     @staticmethod
@@ -317,15 +316,11 @@ def verify_cover(pres: VoltagePresentation, r: int, L: int) -> dict:
         for x, y in itertools.combinations(fib, 2):
             if not (win.safe(x, 1) and win.safe(y, 1)):
                 continue
-            if win.window.has_edge(x, y) or (
-                win.window.neighbors(x) & win.window.neighbors(y)
-            ):
+            if win.window.has_edge(x, y) or win.window.neighbors(x) & win.window.neighbors(y):
                 report["fiber_distances"] = False
                 report.setdefault("fiber_witness", (x, y))
-    report["ok"] = all(
-        report[key]
-        for key in ("covering", "ball_preserving", "free_on_cliques", "fiber_distances")
-    )
+    checks = ("covering", "ball_preserving", "free_on_cliques", "fiber_distances")
+    report["ok"] = all(report[key] for key in checks)
     return report
 
 
@@ -366,9 +361,7 @@ def lift_project_clique(
         lift = {v0: x0}
         blocked = False
         for u in kf[1:]:
-            cands = [
-                y for y in window.window.neighbors(x0) if window.base_of[y] == u
-            ]
+            cands = [y for y in window.window.neighbors(x0) if window.base_of[y] == u]
             if len(cands) != 1:
                 if not window.safe(x0, 1):
                     blocked = True
@@ -467,9 +460,7 @@ class GraphDecomposition:
 
     def to_json_dict(self) -> dict:
         return {
-            "nodes": [
-                {"id": h, "bag": sorted(self.bags[h])} for h in self.model.vertices
-            ],
+            "nodes": [{"id": h, "bag": sorted(self.bags[h])} for h in self.model.vertices],
             "edges": [list(e) for e in self.model.edges()],
             "coparts": {
                 v: {"nodes": list(sub.vertices), "edges": [list(e) for e in sub.edges()]}
@@ -500,9 +491,7 @@ def fold(
     for t, h in name.items():
         projected = frozenset(win.base_of[x] for x in td.bags[t])
         if bags.setdefault(h, projected) != projected:
-            raise ActionMismatch(
-                f"orbit {h} projects to different bags; enlarge the window"
-            )
+            raise ActionMismatch(f"orbit {h} projects to different bags; enlarge the window")
 
     def project(edges):
         out = set()
@@ -555,7 +544,10 @@ def verify_graph_decomposition(g: Graph, gd: GraphDecomposition) -> dict:
     """Coverage of vertices and edges, connected co-parts inside the right
     model subgraphs, and the into-cliques flags."""
     bag_list = list(gd.bags.values())
-    uncovered_vertices, uncovered_edges = _uncovered(g, bag_list)
+    reach = {}  # the union of the bags holding each vertex
+    for b in bag_list:
+        reach.update((v, reach.get(v, frozenset()) | b) for v in b)
+    uncovered_vertices, uncovered_edges = _uncovered(g, reach)
     report = {
         "h1_uncovered_vertices": uncovered_vertices,
         "h1_uncovered_edges": uncovered_edges,
@@ -576,11 +568,7 @@ def verify_graph_decomposition(g: Graph, gd: GraphDecomposition) -> dict:
             report["h2_failures"].append((v, "co-part disconnected"))
     into_max = report["into_cliques"] and _bags_are_maximal_cliques(g, bag_list)
     report["into_maximal_cliques"] = into_max
-    report["ok"] = not (
-        report["h1_uncovered_vertices"]
-        or report["h1_uncovered_edges"]
-        or report["h2_failures"]
-    )
+    report["ok"] = not (uncovered_vertices or uncovered_edges or report["h2_failures"])
     return report
 
 

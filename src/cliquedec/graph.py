@@ -26,28 +26,25 @@ class Graph:
     )
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Tuple[str, str]] = ()):
-        vs: List[str] = []
         index: Dict[str, int] = {}
         for v in vertices:
             if not isinstance(v, str):
                 raise TypeError(f"vertex identifiers must be strings, got {v!r}")
-            if v not in index:
-                index[v] = len(vs)
-                vs.append(v)
-        adj: Dict[str, set] = {v: set() for v in vs}
+            index.setdefault(v, len(index))
+        adj: Dict[str, set] = {v: set() for v in index}
         for u, v in edges:
             if u == v:
                 raise LoopEdge(f"loop at {u!r}")
-            for w in (u, v):
-                if w not in index:
-                    if not isinstance(w, str):
-                        raise TypeError(f"vertex identifiers must be strings, got {w!r}")
-                    index[w] = len(vs)
-                    vs.append(w)
-                    adj[w] = set()
+            if u not in adj or v not in adj:  # an end that vertices lacks joins now
+                for w in (u, v):
+                    if w not in adj:
+                        if not isinstance(w, str):
+                            raise TypeError(f"vertex identifiers must be strings, got {w!r}")
+                        index[w] = len(index)
+                        adj[w] = set()
             adj[u].add(v)
             adj[v].add(u)
-        self._vertices = tuple(vs)
+        self._vertices = tuple(index)
         self._index = index
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
         self._component_cache: Dict[FrozenSet[str], list] = {}
@@ -90,17 +87,12 @@ class Graph:
 
     def edges(self) -> List[Tuple[str, str]]:
         """All edges, canonically ordered pairs in canonical order."""
-        out = []
-        for u in self._vertices:
-            ku = self._index[u]
-            for v in self._adj[u]:
-                if self._index[v] > ku:
-                    out.append((u, v))
-        out.sort(key=lambda e: (self._index[e[0]], self._index[e[1]]))
-        return out
+        key = self._index
+        out = [(u, v) for u, ku in key.items() for v in self._adj[u] if key[v] > ku]
+        return sorted(out, key=lambda e: (key[e[0]], key[e[1]]))
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self._adj.values()) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     def __eq__(self, other) -> bool:
         return (
@@ -226,7 +218,7 @@ class Graph:
         _json_fields(data, "graph JSON", ("vertices", "edges"))
         vertices = _json_strings(data.get("vertices", []), "graph JSON 'vertices'")
         edges = _json_list(data.get("edges", []), "graph JSON 'edges'")
-        return Graph(vertices, [_json_pair(e, "a graph edge") for e in edges])
+        return _json_graph(vertices, edges, "a graph edge")
 
 
 # -- JSON input checks, shared by the readers of every input format ------
@@ -256,6 +248,24 @@ def _json_strings(value, what: str) -> list:
         if not isinstance(v, str):
             raise ValueError(f"{what} must hold strings, got {v!r}")
     return value
+
+
+def _all(values: Iterable, kind: type) -> bool:
+    """Is each value exactly of type kind?  A bulk test; the readers check
+    each value on its own only when it fails, to name an offender."""
+    return set(map(type, values)) <= {kind}
+
+
+def _json_graph(vertices: list, edges: list, what: str) -> Graph:
+    """The graph of JSON edges, each a list of two strings.  Once they are
+    all lists, Graph rejects any that is not two strings, so each edge is
+    checked on its own only when either test fails, to name the first."""
+    try:
+        if _all(edges, list):
+            return Graph(vertices, edges)
+    except (LoopEdge, TypeError, ValueError):
+        pass
+    return Graph(vertices, [_json_pair(e, what) for e in edges])
 
 
 def _json_pair(value, what: str) -> Tuple[str, str]:

@@ -71,10 +71,7 @@ def random_chordal(n: int, seed: int = 0) -> Graph:
         base = list(rng.choice(cliques).vertices)
         size = rng.randint(1, len(base))
         attach = rng.sample(sorted(base), size)
-        g = Graph(
-            list(g.vertices) + [f"v{i}"],
-            g.edges() + [(u, f"v{i}") for u in attach],
-        )
+        g = Graph([*g.vertices, f"v{i}"], g.edges() + [(u, f"v{i}") for u in attach])
     return g
 
 
@@ -85,9 +82,7 @@ def cycle_z_presentation(n: int) -> VoltagePresentation:
     """C_n with voltage z on the closing edge; the derived cover is the
     double ray."""
     base = cycle(n)
-    tree = frozenset(
-        frozenset((f"v{i}", f"v{i+1}")) for i in range(n - 1)
-    )
+    tree = frozenset(frozenset((f"v{i}", f"v{i+1}")) for i in range(n - 1))
     return VoltagePresentation(
         base=base,
         tree_edges=tree,
@@ -118,7 +113,7 @@ INSTANCES = {
     "path": lambda get: path(get("n", 5, 1)),
     "cycle": lambda get: cycle(get("n", 6, 3)),
     "complete": lambda get: complete(get("n", 4, 1)),
-    "ktree": lambda get: ktree(get("n", 8), get("k", 2), get("seed", 0)),
+    "ktree": lambda get: ktree(get("n", 8), get("k", 2, 1), get("seed", 0)),
     "random_chordal": lambda get: random_chordal(get("n", 12, 1), get("seed", 0)),
     "two_triangles": lambda get: two_triangles(),
     "wheel": lambda get: wheel(),

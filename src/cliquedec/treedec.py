@@ -8,9 +8,9 @@ depends only on the set, not on any processing order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .chordal import maximal_cliques
@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolated,
     UnknownVertex,
 )
-from .graph import Graph, _json_fields, _json_list, _json_pair, _json_strings
+from .graph import Graph, _all, _json_fields, _json_graph, _json_list, _json_strings
 from .separations import CROSSING, Separation, by_key, relate
 
 
@@ -36,26 +36,33 @@ class TreeDecomposition:
 
     def to_json_dict(self) -> dict:
         return {
-            "nodes": [
-                {"id": t, "bag": sorted(self.bags[t])} for t in self.tree.vertices
-            ],
+            "nodes": [{"id": t, "bag": sorted(self.bags[t])} for t in self.tree.vertices],
             "edges": [list(e) for e in self.tree.edges()],
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "TreeDecomposition":
         _json_fields(data, "tree-decomposition JSON", ("nodes", "edges"))
+        nodes = _json_list(data.get("nodes", []), "tree-decomposition JSON 'nodes'")
         bags = {}
-        for node in _json_list(data.get("nodes", []), "tree-decomposition JSON 'nodes'"):
-            _json_fields(node, "node JSON", ("id", "bag"), ("id", "bag"))
-            if not isinstance(node["id"], str):
-                raise ValueError(f"node JSON 'id' must be a string, got {node['id']!r}")
-            if node["id"] in bags:
-                raise ValueError(f"tree-decomposition JSON repeats the node id {node['id']!r}")
-            bags[node["id"]] = frozenset(_json_strings(node["bag"], "node JSON 'bag'"))
+        try:  # one test of all nodes; the checks of each node below name an offender
+            ids, members = list(map(itemgetter("id"), nodes)), list(map(itemgetter("bag"), nodes))
+            if (set(map(len, nodes)) <= {2} and _all(ids, str) and _all(members, list)
+                    and _all(chain.from_iterable(members), str)):
+                bags = dict(zip(ids, map(frozenset, members)))
+        except (KeyError, TypeError):
+            pass
+        if len(bags) < len(nodes):  # some node fails: check each, to name the first
+            bags = {}
+            for node in nodes:
+                _json_fields(node, "node JSON", ("id", "bag"), ("id", "bag"))
+                if not isinstance(node["id"], str):
+                    raise ValueError(f"node JSON 'id' must be a string, got {node['id']!r}")
+                if node["id"] in bags:
+                    raise ValueError(f"tree-decomposition JSON repeats the node id {node['id']!r}")
+                bags[node["id"]] = frozenset(_json_strings(node["bag"], "node JSON 'bag'"))
         edges = _json_list(data.get("edges", []), "tree-decomposition JSON 'edges'")
-        pairs = [_json_pair(e, "a tree-decomposition edge") for e in edges]
-        return TreeDecomposition(tree=Graph(list(bags), pairs), bags=bags)
+        return TreeDecomposition(_json_graph(list(bags), edges, "a tree-decomposition edge"), bags)
 
 
 @dataclass(frozen=True)
@@ -65,27 +72,36 @@ class TDClassification:
     into_maximal_cliques: bool
 
 
-def _check_tree(t: Graph) -> None:
+def _check_tree(t: Graph) -> Dict[str, str]:
+    """The parent of each node of the tree t, in breadth-first order from its
+    first node (None there).  Raises NotATree: empty, disconnected, cyclic."""
     if len(t) == 0:
         raise NotATree("empty tree")
-    if not t.is_connected():
+    order, parent = list(t.vertices[:1]), dict.fromkeys(t.vertices[:1])
+    for p in order:  # breadth first, growing as it goes
+        for c in t._adj[p]:
+            if c not in parent:
+                parent[c] = p
+                order.append(c)
+    if len(order) < len(t):
         raise NotATree("tree is disconnected")
     if t.edge_count() != len(t) - 1:
         raise NotATree("tree contains a cycle")
+    return parent
 
 
 def _uncovered(
-    g: Graph, bags: Sequence[FrozenSet[str]]
+    g: Graph, reach: Dict[str, FrozenSet[str]]
 ) -> Tuple[List[str], List[Tuple[str, str]]]:
-    """The vertices and the edges of g that lie in no bag: an edge lies in
-    a bag iff the bitmasks of the bags holding its two ends meet."""
-    holding: Dict[str, int] = {}
-    for i, b in enumerate(bags):
-        for v in b:
-            holding[v] = holding.get(v, 0) | 1 << i
-    vertices = [v for v in g.vertices if v not in holding]
-    edges = [(u, v) for u, v in g.edges() if not holding.get(u, 0) & holding.get(v, 0)]
-    return vertices, edges
+    """The vertices and the edges of g that lie in no bag.  reach[v] is a
+    union of bags holding v, for each v in some bag, such that an edge uw
+    lies in a bag iff w is in reach[u] or u in reach[w]: the union of all
+    the bags holding v is one.  Only the uncovered edges are sorted."""
+    key, get, none = g._index, reach.get, frozenset()
+    edges = [(u, w) for u, nbrs in g._adj.items() for w in nbrs - get(u, none)
+             if u not in get(w, none) and key[u] < key[w]]
+    edges.sort(key=lambda e: (key[e[0]], key[e[1]]))
+    return [v for v in g.vertices if v not in reach], edges
 
 
 def _bags_are_maximal_cliques(g: Graph, bags: Sequence[FrozenSet[str]]) -> bool:
@@ -99,26 +115,30 @@ def verify_td(g: Graph, td: TreeDecomposition) -> dict:
     of every vertex's node set; failures carry witnesses.  A bag vertex
     that g lacks raises UnknownVertex.
 
-    The nodes holding v span a forest of (nodes - edges) trees, its edges
-    being the tree edges whose adhesion holds v; so v's node set is
-    connected iff it has at most one node more than such edges.
+    One pass down the tree finds the tops of each vertex v: the nodes
+    holding v whose parent does not.  The nodes holding v form one subtree
+    per top, so they are connected iff v has one top.  Two subtrees meet
+    iff one holds the top of the other, so an edge uw lies in a bag iff w
+    is in the bag of a top of u or u in the bag of a top of w.
     """
-    _check_tree(td.tree)
-    if set(td.bags) != set(td.tree.vertices):
+    parent, bags, none = _check_tree(td.tree), td.bags, frozenset()
+    if bags.keys() != parent.keys():
         raise NotATree("bags and tree nodes do not match")
-    for t, b in td.bags.items():
-        foreign = [v for v in b if v not in g]
-        if foreign:
-            raise UnknownVertex(f"the bag of node {t!r} holds {min(foreign)!r}, not in the graph")
-    uncovered_vertices, uncovered_edges = _uncovered(g, list(td.bags.values()))
-    excess = Counter(v for b in td.bags.values() for v in b)
-    excess.subtract(v for t, u in td.tree.edges() for v in td.bags[t] & td.bags[u])
-    report = {
-        "uncovered_vertices": uncovered_vertices,
-        "uncovered_edges": uncovered_edges,
-        "disconnected": [v for v in g.vertices if excess[v] > 1],
-    }
-    return {"ok": not any(report.values()), **report}
+    reach, split = {}, set()  # the union of the bags at v's tops; v with two tops
+    for t, p in parent.items():
+        b = bags[t]
+        for v in b - bags.get(p, none):
+            if v in reach:
+                split.add(v)
+            reach[v] = reach[v] | b if v in reach else b
+    odd = reach.keys() - g._index.keys()  # bag vertices that g lacks
+    for t, b in bags.items() if odd else ():
+        if b & odd:
+            raise UnknownVertex(f"the bag of node {t!r} holds {min(b & odd)!r}, not in the graph")
+    vertices, edges = _uncovered(g, reach)
+    disconnected = [v for v in g.vertices if v in split]
+    return {"ok": not (vertices or edges or disconnected), "uncovered_vertices": vertices,
+            "uncovered_edges": edges, "disconnected": disconnected}
 
 
 def _edge_sides(g: Graph, td: TreeDecomposition) -> Dict[Tuple[str, str], Tuple[int, int]]:
@@ -127,14 +147,13 @@ def _edge_sides(g: Graph, td: TreeDecomposition) -> Dict[Tuple[str, str], Tuple[
     node: below each node by post-order, the rest by prefix and suffix unions
     over siblings.  Raises InvariantViolation if an adhesion is not the separator."""
     bag = {t: sum(1 << g.key(v) for v in b) for t, b in td.bags.items()}
-    order, children = list(td.tree.vertices[:1]), {}
-    for p in order:  # breadth first, growing as it goes
-        children[p] = [c for c in td.tree.neighbors(p) if c not in children]
-        order += children[p]
+    parent = _check_tree(td.tree)
+    order, children = list(parent), {t: [] for t in parent}
+    for c in order[1:]:
+        children[parent[c]].append(c)
     below, rest, sides = dict(bag), dict.fromkeys(order, 0), {}
-    for p in reversed(order):
-        for c in children[p]:
-            below[p] |= below[c]
+    for c in reversed(order[1:]):
+        below[parent[c]] |= below[c]
     for p in order:
         elder, younger = rest[p] | bag[p], 0  # the prefix and the suffix
         for c, d in zip(children[p], reversed(children[p])):

@@ -1,7 +1,7 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with eleven exceptions: `flow_min_separators` builds on the package's
+with twelve exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
 and `classify`, which the separation tests check on their own,
@@ -16,8 +16,10 @@ colour refinement `_refine_colors` (the latter also on the
 `hole_searching_maximal_cliques` on `is_chordal`, `clique_tree` and the
 Bron-Kerbosch search `_bron_kerbosch`, `scan_fold` and
 `scan_separation_signature` on the cover's word algebra, its window
-record and the `GraphDecomposition` type, and `subgraph_verify_td` on the
-tree check `_check_tree`.
+record and the `GraphDecomposition` type, `subgraph_verify_td` on the
+tree check `_check_tree`, and `checked_graph_from_json` and
+`checked_td_from_json` on the JSON checks of one value each,
+`_json_fields`, `_json_list`, `_json_strings` and `_json_pair`.
 `orientation_relate` is `relate` as it was before it became one boolean
 expression: a loop over the orientations of both separations as tuples.
 `explicit_part` is one bottleneck part as it was built before its
@@ -46,6 +48,14 @@ out on its own.  `subgraph_verify_td` is `verify_td` as it was before it
 counted: one induced subtree per vertex, tested for connectivity.
 `scan_uncovered` is the coverage test as it was before it indexed the
 bags holding each vertex: every bag scanned for every edge.
+`counting_verify_td`, `checked_graph_from_json` and `checked_td_from_json`
+are `verify_td` and the graph and tree-decomposition readers as they were
+before one pass over the bags read and checked them: the tree checked for
+connectivity by a component search, coverage read off one bitmask per
+vertex over the sorted list of all edges, connectivity of each vertex's
+node set by counting its bags less its adhesions, and every node, bag,
+vertex and edge of the JSON checked on its own, edges also by the graph
+constructor of that time (`checked_graph`).
 `scan_automorphism_generators` is `automorphism_generators` as it was
 before twins and union-find orbits: every image searched by backtracking,
 its generators checked pair by pair, and the orbit recomputed from
@@ -77,7 +87,7 @@ own algorithms.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -102,12 +112,22 @@ from cliquedec.errors import (
     EmptyBottleneckSelection,
     ImproperSeparation,
     InvariantViolation,
+    LoopEdge,
     NotATree,
     NotNested,
     PreconditionViolated,
     TooLarge,
+    UnknownVertex,
 )
-from cliquedec.graph import INFINITY, Ball, Graph
+from cliquedec.graph import (
+    INFINITY,
+    Ball,
+    Graph,
+    _json_fields,
+    _json_list,
+    _json_pair,
+    _json_strings,
+)
 from cliquedec.nested import NestedSetLevels, crossing_count
 from cliquedec.separations import (
     CROSSING,
@@ -1219,6 +1239,83 @@ def scan_uncovered(
     vertices = [v for v in g.vertices if v not in covered]
     edges = [(u, v) for u, v in g.edges() if not any(u in b and v in b for b in bags)]
     return vertices, edges
+
+
+def counting_verify_td(g: Graph, td: TreeDecomposition) -> dict:
+    """Coverage and connectivity of a tree-decomposition: bag bitmasks per
+    vertex tested on every edge, and each vertex's bags less its adhesions."""
+    if len(td.tree) == 0:
+        raise NotATree("empty tree")
+    if not td.tree.is_connected():
+        raise NotATree("tree is disconnected")
+    if td.tree.edge_count() != len(td.tree) - 1:
+        raise NotATree("tree contains a cycle")
+    if set(td.bags) != set(td.tree.vertices):
+        raise NotATree("bags and tree nodes do not match")
+    for t, b in td.bags.items():
+        foreign = [v for v in b if v not in g]
+        if foreign:
+            raise UnknownVertex(f"the bag of node {t!r} holds {min(foreign)!r}, not in the graph")
+    holding: Dict[str, int] = {}
+    for i, b in enumerate(td.bags.values()):
+        for v in b:
+            holding[v] = holding.get(v, 0) | 1 << i
+    excess = Counter(v for b in td.bags.values() for v in b)
+    excess.subtract(v for t, u in td.tree.edges() for v in td.bags[t] & td.bags[u])
+    report = {
+        "uncovered_vertices": [v for v in g.vertices if v not in holding],
+        "uncovered_edges": [
+            (u, v) for u, v in g.edges() if not holding.get(u, 0) & holding.get(v, 0)
+        ],
+        "disconnected": [v for v in g.vertices if excess[v] > 1],
+    }
+    return {"ok": not any(report.values()), **report}
+
+
+def checked_graph(vertices: Iterable[str], edges: Iterable[Tuple[str, str]]) -> Graph:
+    """Graph(vertices, edges) after the checks of each vertex and edge that
+    its constructor made one at a time: vertex order, loops, string ends."""
+    index: Dict[str, int] = {}
+    for v in vertices:
+        if not isinstance(v, str):
+            raise TypeError(f"vertex identifiers must be strings, got {v!r}")
+        if v not in index:
+            index[v] = len(index)
+    edges = list(edges)
+    for u, v in edges:
+        if u == v:
+            raise LoopEdge(f"loop at {u!r}")
+        for w in (u, v):
+            if w not in index:
+                if not isinstance(w, str):
+                    raise TypeError(f"vertex identifiers must be strings, got {w!r}")
+                index[w] = len(index)
+    return Graph(list(index), edges)
+
+
+def checked_graph_from_json(data: dict) -> Graph:
+    """The graph JSON reader, each vertex and edge checked on its own."""
+    _json_fields(data, "graph JSON", ("vertices", "edges"))
+    vertices = _json_strings(data.get("vertices", []), "graph JSON 'vertices'")
+    edges = _json_list(data.get("edges", []), "graph JSON 'edges'")
+    return checked_graph(vertices, [_json_pair(e, "a graph edge") for e in edges])
+
+
+def checked_td_from_json(data: dict) -> TreeDecomposition:
+    """The tree-decomposition JSON reader, each node, bag and edge checked
+    on its own."""
+    _json_fields(data, "tree-decomposition JSON", ("nodes", "edges"))
+    bags = {}
+    for node in _json_list(data.get("nodes", []), "tree-decomposition JSON 'nodes'"):
+        _json_fields(node, "node JSON", ("id", "bag"), ("id", "bag"))
+        if not isinstance(node["id"], str):
+            raise ValueError(f"node JSON 'id' must be a string, got {node['id']!r}")
+        if node["id"] in bags:
+            raise ValueError(f"tree-decomposition JSON repeats the node id {node['id']!r}")
+        bags[node["id"]] = frozenset(_json_strings(node["bag"], "node JSON 'bag'"))
+    edges = _json_list(data.get("edges", []), "tree-decomposition JSON 'edges'")
+    pairs = [_json_pair(e, "a tree-decomposition edge") for e in edges]
+    return TreeDecomposition(tree=checked_graph(list(bags), pairs), bags=bags)
 
 
 class NestednessViolation(CliquedecError):

@@ -144,6 +144,8 @@ def test_verify_gd_and_r_acyclic_need_the_base_graph(tmp_path, capsys):
 
 
 _TD_NODE = {"id": "t0", "bag": ["v0", "v1", "v2"]}
+_TD_NODES = [{"id": f"t{i}", "bag": ["v0", "v1", "v2"]} for i in range(3)]
+_TRIANGLE = [["t0", "t1"], ["t1", "t2"], ["t2", "t0"]]
 _PRES = cycle_z_presentation(6).to_json_dict()
 
 
@@ -183,12 +185,38 @@ _PRES = cycle_z_presentation(6).to_json_dict()
         ("verify-td", {"nodes": [["t0", ["v0"]]], "edges": []}, "node JSON must be an object"),
         ("fold", [_PRES], "voltage JSON must be an object, got list"),
         ("fold", {**_PRES, "voltages": ["z"]}, "voltage entry must be an object, got str"),
+        # trees that are not trees, and edges that name a node with no bag
+        ("verify-td", {"nodes": [], "edges": []}, "error: empty tree"),
+        (
+            "verify-td",
+            {"nodes": _TD_NODES, "edges": [["t0", "t1"]]},
+            "error: tree is disconnected",
+        ),
+        ("verify-td", {"nodes": _TD_NODES, "edges": _TRIANGLE}, "error: tree contains a cycle"),
+        # disconnected and cyclic, the cycle on either side: disconnected comes first
+        (
+            "verify-td",
+            {"nodes": _TD_NODES + [{"id": "t3", "bag": ["v0"]}], "edges": _TRIANGLE},
+            "error: tree is disconnected",
+        ),
+        (
+            "verify-td",
+            {"nodes": [{"id": "t3", "bag": ["v0"]}] + _TD_NODES, "edges": _TRIANGLE},
+            "error: tree is disconnected",
+        ),
+        (
+            "verify-td",
+            {"nodes": [_TD_NODE], "edges": [["t0", "t1"]]},
+            "error: bags and tree nodes do not match",
+        ),
     ],
     ids=[
         "td-edge", "td-bag", "td-id", "td-list", "td-repeated-id",
         "word", "edge-list", "edge-ints", "vertices", "td-foreign-bag-vertex",
         "graph-unknown", "td-unknown", "node-unknown", "voltage-unknown", "entry-unknown",
         "node-not-object", "voltage-not-object", "entry-not-object",
+        "td-empty", "td-disconnected", "td-cycle", "td-disconnected-cycle-away",
+        "td-disconnected-cycle-at-root", "td-edge-to-no-bag",
     ],
 )
 def test_malformed_json_is_an_input_error(tmp_path, capsys, command, data, field):
@@ -456,12 +484,21 @@ def test_gen_deterministic(tmp_path, capsys):
         ("complete", "-n", -1, "n >= 1"),
         ("star", "-t", -1, "t >= 1"),
         ("random_chordal", "-n", -3, "n >= 1"),
+        ("ktree", "-k", 0, "k >= 1"),
+        ("ktree", "-k", -1, "k >= 1"),
     ],
 )
 def test_gen_rejects_sizes_that_make_no_such_graph(capsys, kind, flag, value, bound):
     assert main(["gen", kind, flag, str(value)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"{kind} needs {bound}, got {value}" in captured.err
+
+
+def test_gen_ktree_rejects_k_below_one_whatever_n(capsys):
+    """With no bound on k, -n 0 -k -1 printed a graph with no vertices."""
+    assert main(["gen", "ktree", "-n", "0", "-k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ktree needs k >= 1, got -1" in captured.err
 
 
 def test_gen_smallest_sizes(capsys):

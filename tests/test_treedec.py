@@ -2,16 +2,18 @@
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquedec import treedec
-from cliquedec.chordal import maximal_cliques
+from cliquedec.chordal import clique_tree, maximal_cliques
 from cliquedec.errors import (
     ImproperSeparation,
     InvariantViolation,
+    LoopEdge,
     NotAClique,
     NotATree,
     NotNested,
@@ -45,7 +47,10 @@ from cliquedec.treedec import (
 
 from oracles import (
     bfs_induced_separation,
+    checked_graph_from_json,
+    checked_td_from_json,
     closure_build_td,
+    counting_verify_td,
     nx_chordal_cliques,
     orbit_contract_to_maximal,
     pairwise_nestedness_verdict,
@@ -148,11 +153,21 @@ def _bag_damages(td):
             yield bags[:i] + [b - {v}] + bags[i + 1 :]
 
 
+def _reach(bags):
+    """The union of the bags holding each vertex: the reach that
+    `verify_graph_decomposition` passes to `_uncovered`."""
+    reach = {}
+    for b in bags:
+        for v in b:
+            reach[v] = reach.get(v, frozenset()) | b
+    return reach
+
+
 def test_uncovered_matches_scan_oracle_on_suite1(suite1):
     uncovered_edges = 0
     for g, res in suite1:
         for bags in [list(res["td"].bags.values()), *_bag_damages(res["td"])]:
-            got = treedec._uncovered(g, bags)
+            got = treedec._uncovered(g, _reach(bags))
             assert got == scan_uncovered(g, bags)
             uncovered_edges += bool(got[1])
     assert uncovered_edges > 100
@@ -167,13 +182,190 @@ def test_uncovered_matches_scan_oracle_hypothesis(data):
     # bags may name vertices that g lacks
     bags = data.draw(st.lists(st.frozensets(st.sampled_from(vs + ["x"])), max_size=8))
     g = Graph(vs, edges)
-    assert treedec._uncovered(g, bags) == scan_uncovered(g, bags)
+    assert treedec._uncovered(g, _reach(bags)) == scan_uncovered(g, bags)
 
 
 def test_verify_td_builds_no_graphs(monkeypatch):
     g = ktree(60, 3)
     td = build_td_from_nested(g, construct_N(g).union)
     assert _graphs_built(monkeypatch, lambda: verify_td(g, td)) == 0
+
+
+# -- reading and checking in one pass, against the counting oracle ----------
+
+
+def _outcome(f, *args):
+    """f(*args), or the class and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _clique_tree_json(g):
+    """The clique tree of a chordal graph, as tree-decomposition JSON."""
+    tree = clique_tree(g)
+    return {
+        "nodes": [{"id": f"t{i}", "bag": g.sorted(c)} for i, c in enumerate(tree.cliques)],
+        "edges": [[f"t{p}", f"t{i}"] for i, p in enumerate(tree.parent) if p >= 0],
+    }
+
+
+def _faults(g, td, rng, rounds):
+    """Copies of td, each with one fault: a bag vertex dropped, an edge's
+    cover removed (one end dropped from every bag holding both), a vertex
+    added to some bag (which may split its node set), and a bag vertex
+    that g lacks."""
+    for _ in range(rounds if len(td.tree) else 0):
+        t = rng.choice(td.tree.vertices)
+        if td.bags[t]:
+            yield {**td.bags, t: td.bags[t] - {rng.choice(sorted(td.bags[t]))}}
+        for u, w in rng.sample(g.edges(), min(1, g.edge_count())):
+            yield {s: b - {w} if u in b else b for s, b in td.bags.items()}
+        for v in rng.sample(g.vertices, min(1, len(g))):
+            yield {**td.bags, t: td.bags[t] | {v}}
+        yield {**td.bags, t: td.bags[t] | {"zz"}}
+
+
+def _same_as_counting_oracle(gj, tj, rng, rounds=0):
+    """The readers and verify_td give what the counting oracle and the
+    checked readers give, on gj and tj and on faults injected into them;
+    returns the outcomes of verify_td."""
+    g = _outcome(Graph.from_json_dict, gj)
+    assert g == _outcome(checked_graph_from_json, gj)
+    td = _outcome(TreeDecomposition.from_json_dict, tj)
+    assert td == _outcome(checked_td_from_json, tj)
+    if not isinstance(g, Graph) or not isinstance(td, TreeDecomposition):
+        return []
+    outcomes = []
+    for bags in [td.bags, *(_faults(g, td, rng, rounds) if rounds else ())]:
+        bad = TreeDecomposition(tree=td.tree, bags=bags)
+        outcomes.append(_outcome(verify_td, g, bad))
+        assert outcomes[-1] == _outcome(counting_verify_td, g, bad)
+    return outcomes
+
+
+def _failures(outcomes):
+    """Which failures the outcomes show: report fields and exception classes."""
+    names = set()
+    for out in outcomes:
+        if isinstance(out, tuple):
+            names.add(out[0].__name__)
+        else:
+            names.update(k for k, v in out.items() if v)
+    return names
+
+
+@pytest.mark.parametrize("n", [200, 270, 340])
+def test_one_pass_matches_counting_oracle_on_random_chordal(n):
+    g = random_chordal(n, seed=n)
+    gj, tj = g.to_json_dict(), _clique_tree_json(g)
+    outcomes = _same_as_counting_oracle(gj, tj, random.Random(n), rounds=8)
+    assert outcomes[0]["ok"]
+    assert _failures(outcomes[1:]) >= {
+        "uncovered_vertices", "uncovered_edges", "disconnected", "UnknownVertex"
+    }
+
+
+def test_one_pass_matches_counting_oracle_on_certify_trees(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import generate
+
+    w = generate("certify", 0)
+    ops = [op for op in w.ops if op.command == "verify-td"]
+    outcomes = {}
+    for op in ops:
+        gj, tj = (w.inputs[f] for f in op.files())
+        outcomes[op.id] = _same_as_counting_oracle(gj, tj, random.Random(op.id), 2)
+    assert len(outcomes) == 19 and all(out[0]["ok"] for k, out in outcomes.items() if "tree" in k)
+    assert outcomes["verify-td/corrupt0"][0]["uncovered_vertices"]
+
+
+@pytest.mark.parametrize(
+    "edge",
+    ["ab", {"v0": 1, "v1": 2}, ("v0", "v1"), ["v0"], ["v0", "v1", "v0"], ["v0", 1], [1, 1],
+     ["v0", "v0"], [["v0"], "v1"], ["v0", None]],
+)
+def test_readers_reject_an_edge_as_the_checked_readers_do(edge):
+    """The readers hand lists to Graph and check no edge on its own unless
+    one is not a list or Graph fails: a string or an object of two, or a
+    tuple, would pass Graph."""
+    gj = {"vertices": ["v0", "v1"], "edges": [["v0", "v1"], edge]}
+    tj = {"nodes": [{"id": "v0", "bag": ["v0"]}, {"id": "v1", "bag": []}], "edges": [edge]}
+    want = _outcome(checked_graph_from_json, gj)
+    assert want[0] in (ValueError, LoopEdge) and _outcome(Graph.from_json_dict, gj) == want
+    assert _outcome(TreeDecomposition.from_json_dict, tj) == _outcome(checked_td_from_json, tj)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [{"id": "t1", "bag": "ab"}, {"id": "t1", "bag": {"v0": 1}}, {"id": "t1", "bag": [3]},
+     {"id": "t1", "bag": ["v0", None]}, {"id": "t1", "bag": 5}, {"id": 3, "bag": []},
+     {"id": None, "bag": []}, {"id": "t0", "bag": []}, {"id": "t1"}, {"bag": []},
+     {"id": "t1", "bag": [], "size": 1}, ["t1", []], "t1", None],
+)
+def test_readers_reject_a_node_as_the_checked_readers_do(node):
+    """A string or an object as a bag would pass frozenset."""
+    tj = {"nodes": [{"id": "t0", "bag": ["v0"]}, node], "edges": []}
+    want = _outcome(checked_td_from_json, tj)
+    assert want[0] is ValueError and _outcome(TreeDecomposition.from_json_dict, tj) == want
+
+
+# junk put in place of one value of a JSON input; EXTRA adds a field to an
+# object, or repeats the first member of a list
+EXTRA = object()
+JUNK = [
+    EXTRA, 3, None, True, 1.5, "v0", "t1", "x", "ab", [], ["v0"], ["t0", "t0"], ["v0", 4],
+    ["t0", "t1", "t2"], {"id": "t1", "bag": []}, {"id": "t0"}, {"id": "t0", "bag": [], "a": 1},
+]
+
+
+def _positions(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _positions(v, path + (k,))
+
+
+def _replaced(value, path, junk):
+    if path:
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[path[0]] = _replaced(value[path[0]], path[1:], junk)
+        return copy
+    if junk is not EXTRA:
+        return junk
+    if isinstance(value, dict):
+        return {**value, "size": 1}
+    return value + value[:1] if isinstance(value, list) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_matches_counting_oracle_hypothesis(data):
+    vs = [f"v{i}" for i in range(data.draw(st.integers(1, 7)))]
+    ends = vs + ["w"] * (data.draw(st.integers(0, 3)) == 0)  # an end that vs lacks
+    pair = st.tuples(st.sampled_from(ends), st.sampled_from(ends))
+    edges = data.draw(st.lists(pair, max_size=12))
+    loops = data.draw(st.integers(0, 9)) == 0
+    gj = {"vertices": vs, "edges": [[u, v] for u, v in edges if u != v or loops]}
+    k = data.draw(st.integers(0, 7))
+    ids = [f"t{i}" for i in range(k)]
+    tree = [[f"t{data.draw(st.integers(0, i - 1))}", f"t{i}"] for i in range(1, k)]
+    if ids and data.draw(st.booleans()):  # a tree edge more or less: a cycle or two parts
+        pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        more = data.draw(st.lists(pair, max_size=2))
+        tree = tree[data.draw(st.integers(0, 1)):] + [list(e) for e in more]
+    bag = st.lists(st.sampled_from(ends), max_size=5)
+    if data.draw(st.booleans()):  # every vertex in every bag: a decomposition of any graph
+        bag = st.just(ends)
+    tj = {"nodes": [{"id": t, "bag": data.draw(bag)} for t in ids], "edges": tree}
+    if data.draw(st.integers(0, 2)) == 0:
+        which = data.draw(st.sampled_from(["graph", "td"]))
+        value = gj if which == "graph" else tj
+        path = data.draw(st.sampled_from(list(_positions(value))))
+        value = _replaced(value, path, data.draw(st.sampled_from(JUNK)))
+        gj, tj = (value, tj) if which == "graph" else (gj, value)
+    _same_as_counting_oracle(gj, tj, random.Random(data.draw(st.integers(0, 2**32))), rounds=1)
 
 
 def test_induced_separation_examples():
