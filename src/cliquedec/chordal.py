@@ -361,5 +361,5 @@ def is_r_locally_chordal(g: Graph, r: int):
     for v in g.vertices:
         ball = g.distances_from(v, r // 2)
         if _verify_peo(g, mcs_order(g, ball)[::-1]) is not None:
-            return False, (v, is_chordal(g.ball(v, r).subgraph)[1])
+            return False, (v, is_chordal(g.ball(v, r))[1])
     return True, None

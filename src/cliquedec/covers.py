@@ -170,7 +170,6 @@ class CoverWindow:
 
     radius: int
     window: Graph
-    boundary: FrozenSet[str]
     base_of: Dict[str, str]
     word_of: Dict[str, Word]
     step: int  # the longest voltage's length, at least 1
@@ -214,12 +213,10 @@ def derive_window(pres: VoltagePresentation, L: int) -> CoverWindow:
         raise ValueError("L must be nonnegative")
     gens = pres.generators()
     words = _all_words(gens, L)
-    base_of, word_of = {}, {}
-    ids = []
+    base_of, word_of = {}, {}  # keyed by the vertices in window order
     for w in words:
         for v in pres.base.vertices:
             x = _vertex_id(v, w)
-            ids.append(x)
             base_of[x] = v
             word_of[x] = w
     edges = []
@@ -229,12 +226,9 @@ def derive_window(pres: VoltagePresentation, L: int) -> CoverWindow:
             w2 = word_mul(w, a)
             if len(w2) <= L:
                 edges.append((_vertex_id(u, w), _vertex_id(v, w2)))
-    window = Graph(ids, edges)
-    boundary = frozenset(x for x in ids if len(word_of[x]) == L)
     return CoverWindow(
         radius=L,
-        window=window,
-        boundary=boundary,
+        window=Graph(base_of, edges),
         base_of=base_of,
         word_of=word_of,
         step=max([1, *map(len, pres.voltages.values())]),
@@ -274,24 +268,23 @@ def verify_cover(pres: VoltagePresentation, r: int, L: int) -> dict:
             report["covering"] = False
             report.setdefault("covering_witness", x)
 
-    # (b) r/2-ball preservation
+    # (b) r/2-ball preservation: a bijection of the two balls that maps the
+    # neighbours of each ball vertex in its ball onto its image's in the other
+    if r < 0:
+        raise ValueError("radius2 must be nonnegative")
     k = r // 2
     for x in win.window.vertices:
         if not win.safe(x, k):
             continue
         report["checked_centers"] += 1
-        up = win.window.ball(x, r).subgraph
-        down = g.ball(win.base_of[x], r).subgraph
-        images = [win.base_of[y] for y in up.vertices]
-        iso = (
-            len(set(images)) == len(up)
-            and set(images) == set(down.vertices)
-            and all(
-                up.has_edge(y, z) == down.has_edge(win.base_of[y], win.base_of[z])
-                for y, z in itertools.combinations(up.vertices, 2)
-            )
-        )
-        if not iso:
+        up = win.window.distances_from(x, k)
+        down = set(g.distances_from(win.base_of[x], k))
+        images = {win.base_of[y] for y in up}
+        if len(images) != len(up) or images != down or any(
+            {win.base_of[z] for z in win.window.neighbors(y) if z in up}
+            != g.neighbors(win.base_of[y]) & down
+            for y in up
+        ):
             raise BallNotPreserved(x)
 
     # (c) free action on cliques: K and gamma K are disjoint

@@ -9,7 +9,6 @@ all operations are pure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import LoopEdge, UnknownVertex
@@ -49,7 +48,7 @@ class Graph:
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
         self._component_cache: Dict[FrozenSet[str], list] = {}
         self._clique_tree = None  # set by chordal.clique_tree
-        self._bottleneck_cache: Dict[FrozenSet[str], tuple] = {}  # separations.bottleneck_part
+        self._bottleneck_cache: Dict[FrozenSet[str], dict] = {}  # separations.bottleneck_part
 
     # -- basics ---------------------------------------------------------
 
@@ -195,7 +194,7 @@ class Graph:
         self._component_cache[x] = out
         return out
 
-    def ball(self, v: str, radius2: int) -> "Ball":
+    def ball(self, v: str, radius2: int) -> "Graph":
         """Ball of radius radius2/2 around v.
 
         Both parities yield the induced subgraph on the vertices at
@@ -206,7 +205,7 @@ class Graph:
         if radius2 < 0:
             raise ValueError("radius2 must be nonnegative")
         dist = self.distances_from(v, radius2 // 2)
-        return Ball(center=v, radius2=radius2, subgraph=self.induced(dist))
+        return self.induced(dist)
 
     # -- serialization --------------------------------------------------
 
@@ -275,15 +274,6 @@ def _json_pair(value, what: str) -> Tuple[str, str]:
         if isinstance(u, str) and isinstance(v, str):
             return u, v
     raise ValueError(f"{what} must be a list of two strings, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Ball around a vertex; radius2 stores twice the radius exactly."""
-
-    center: str
-    radius2: int
-    subgraph: Graph
 
 
 def from_edge_list(pairs: Sequence[Tuple[str, str]], isolated: Sequence[str] = ()) -> Graph:

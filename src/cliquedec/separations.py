@@ -93,7 +93,6 @@ class SeparationClassification:
 class Bottleneck:
     """All tight separations efficiently distinguishing a pair of maximal cliques."""
 
-    pair: Tuple[MaximalClique, MaximalClique]
     order: int
     separations: Tuple[Separation, ...]
 
@@ -286,44 +285,38 @@ def bottleneck_part(g: Graph, sep: FrozenSet[str], u: str, v: str) -> Tuple[Sepa
     separator S = sep and the components C_u, C_v of G - S that hold u and v
     on opposite sides.  Each other component goes to either side, so a part
     has 2^f members for f free components.  C_u and C_v must be full, so
-    every member is tight.  Each graph builds each part and each distinct
-    separation once: both are cached per separator, beside the components
-    of G - S and a vertex -> component map; a separation is keyed by the
-    lesser of the bitmasks of the components on its two sides.
+    every member is tight.  Each graph builds each distinct separation once
+    per separator and caches it, keyed by the lesser of the bitmasks of the
+    components on its two sides; a part is rebuilt from those separations.
     """
-    entry = g._bottleneck_cache.get(sep)
-    if entry is None:
-        comps = g.components_after_deletion(sep)
-        where = {w: n for n, (comp, _) in enumerate(comps) for w in comp}
-        entry = g._bottleneck_cache[sep] = (comps, where, (1 << len(comps)) - 1, {}, {})
-    comps, where, full, parts, known = entry
-    i, j = sorted((where[u], where[v]))
-    if (i, j) not in parts:
-        if i == j:
-            raise NotASeparation(f"{g.sorted(sep)} fails to separate {u!r} from {v!r}")
-        if not (comps[i][1] and comps[j][1]):
-            raise InvariantViolation(f"minimum separator {g.sorted(sep)} is not tight")
-        free = [n for n in range(len(comps)) if n != i and n != j]
-        if len(free) > EXPANSION_BUDGET:
-            raise TooLarge(
-                f"bottleneck expansion budget is {EXPANSION_BUDGET} free "
-                f"components, separator {g.sorted(sep)} leaves {len(free)}"
-            )
-        masks = [1 << i]
-        for n in free:
-            masks += [m | 1 << n for m in masks]
-        found = []
-        for m in masks:
-            m = min(m, full ^ m)
-            s = known.get(m)
-            if s is None:
-                a, b = set(sep), set(sep)
-                for n, (comp, _) in enumerate(comps):
-                    (a if m >> n & 1 else b).update(comp)
-                s = known[m] = Separation(a, b)
-            found.append(s)
-        parts[i, j] = tuple(sorted(found, key=by_key))
-    return parts[i, j]
+    comps = g.components_after_deletion(sep)
+    known = g._bottleneck_cache.setdefault(sep, {})
+    i, j = sorted(n for n, (comp, _) in enumerate(comps) for w in (u, v) if w in comp)
+    if i == j:
+        raise NotASeparation(f"{g.sorted(sep)} fails to separate {u!r} from {v!r}")
+    if not (comps[i][1] and comps[j][1]):
+        raise InvariantViolation(f"minimum separator {g.sorted(sep)} is not tight")
+    free = [n for n in range(len(comps)) if n != i and n != j]
+    if len(free) > EXPANSION_BUDGET:
+        raise TooLarge(
+            f"bottleneck expansion budget is {EXPANSION_BUDGET} free "
+            f"components, separator {g.sorted(sep)} leaves {len(free)}"
+        )
+    masks = [1 << i]
+    for n in free:
+        masks += [m | 1 << n for m in masks]
+    full = (1 << len(comps)) - 1
+    found = []
+    for m in masks:
+        m = min(m, full ^ m)
+        s = known.get(m)
+        if s is None:
+            a, b = set(sep), set(sep)
+            for n, (comp, _) in enumerate(comps):
+                (a if m >> n & 1 else b).update(comp)
+            s = known[m] = Separation(a, b)
+        found.append(s)
+    return tuple(sorted(found, key=by_key))
 
 
 def beta(g: Graph, x: MaximalClique, y: MaximalClique, check: bool = True) -> Bottleneck:
@@ -343,4 +336,4 @@ def beta(g: Graph, x: MaximalClique, y: MaximalClique, check: bool = True) -> Bo
         raise ImproperSeparation(f"bottleneck order {k} is not below both clique sizes")
     parts = [bottleneck_part(g, s, next(iter(xs - s)), next(iter(ys - s))) for s in seps]
     uniq = parts[0] if len(parts) == 1 else tuple(sorted(set().union(*parts), key=by_key))
-    return Bottleneck(pair=(x, y), order=k, separations=uniq)
+    return Bottleneck(order=k, separations=uniq)

@@ -62,7 +62,11 @@ class TreeDecomposition:
                     raise ValueError(f"tree-decomposition JSON repeats the node id {node['id']!r}")
                 bags[node["id"]] = frozenset(_json_strings(node["bag"], "node JSON 'bag'"))
         edges = _json_list(data.get("edges", []), "tree-decomposition JSON 'edges'")
-        return TreeDecomposition(_json_graph(list(bags), edges, "a tree-decomposition edge"), bags)
+        tree = _json_graph(list(bags), edges, "a tree-decomposition edge")
+        if len(tree) > len(bags):  # an edge names a node with no bag: name the first
+            e, t = next((e, t) for e in edges for t in e if t not in bags)
+            raise ValueError(f"tree-decomposition edge {e!r} names {t!r}, a node with no bag")
+        return TreeDecomposition(tree, bags)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Independent brute-force and networkx-based oracles for the test suite.
 
 Nothing in here may import algorithmic internals beyond the Graph type,
-with twelve exceptions: `flow_min_separators` builds on the package's
+with these exceptions: `flow_min_separators` builds on the package's
 `_VertexFlow` max flow, which criterion 3 checks against brute force,
 `explicit_beta` on `clique_min_separators`, `separation_from_separator`
 and `classify`, which the separation tests check on their own,
@@ -16,7 +16,8 @@ colour refinement `_refine_colors` (the latter also on the
 `hole_searching_maximal_cliques` on `is_chordal`, `clique_tree` and the
 Bron-Kerbosch search `_bron_kerbosch`, `scan_fold` and
 `scan_separation_signature` on the cover's word algebra, its window
-record and the `GraphDecomposition` type, `subgraph_verify_td` on the
+record and the `GraphDecomposition` type, `subgraph_ball_check` on
+`derive_window`, `subgraph_verify_td` on the
 tree check `_check_tree`, and `checked_graph_from_json` and
 `checked_td_from_json` on the JSON checks of one value each,
 `_json_fields`, `_json_list`, `_json_strings` and `_json_pair`.
@@ -29,13 +30,16 @@ ran once per bottleneck part: one `beta` per clique pair, filtered and
 minimised over that pair's whole bottleneck.  `quadratic_mcs_order`,
 `pairwise_verify_peo` and `full_bfs_ball` are the chordality kernels as
 they were before the heap, the parent test and the bounded BFS; they use
-only the Graph type, its `Ball` record and the unbounded `distances_from`.
+only the Graph type and its unbounded `distances_from`.
 `subgraph_find_hole` and `subgraph_r_locally_chordal` are the hole search
 and the r-local test as they were before they ran on the host's adjacency:
 one induced subgraph per probed path u-v-w, and one ball subgraph per
 centre, decided by the kernels above.  `hole_searching_maximal_cliques`
 is `maximal_cliques(require_chordal=False)` as it was before it skipped
 the hole search.
+`subgraph_ball_check` is `verify_cover`'s r/2-ball check as it was
+before it compared vertex sets: both balls built as induced subgraphs, and
+every pair of window ball vertices tested for an edge on both sides.
 `recursive_long_induced_cycle` is the search of `is_r_chordal` as it was
 before it kept its path on an explicit stack: one recursive call per path
 vertex, so a cycle longer than the recursion limit raised RecursionError.
@@ -103,6 +107,7 @@ from cliquedec.covers import (
     CoverWindow,
     GraphDecomposition,
     VoltagePresentation,
+    derive_window,
     word_inv,
     word_mul,
 )
@@ -121,7 +126,6 @@ from cliquedec.errors import (
 )
 from cliquedec.graph import (
     INFINITY,
-    Ball,
     Graph,
     _json_fields,
     _json_list,
@@ -954,7 +958,7 @@ def pairwise_verify_peo(g: Graph, order: List[str]) -> Optional[Tuple[str, str, 
     return None
 
 
-def full_bfs_ball(g: Graph, v: str, radius2: int) -> Ball:
+def full_bfs_ball(g: Graph, v: str, radius2: int) -> Graph:
     """Ball of radius radius2/2 around v, from an unbounded BFS over v's
     component and a scan of every host vertex."""
     if radius2 < 0:
@@ -962,7 +966,7 @@ def full_bfs_ball(g: Graph, v: str, radius2: int) -> Ball:
     k = radius2 // 2
     dist = g.distances_from(v)
     vs = [u for u in g.vertices if dist.get(u, INFINITY) <= k]
-    return Ball(center=v, radius2=radius2, subgraph=_scan_induced(g, vs))
+    return _scan_induced(g, vs)
 
 
 def _scan_induced(g: Graph, vs: Iterable[str]) -> Graph:
@@ -1019,10 +1023,36 @@ def subgraph_r_locally_chordal(g: Graph, r: int):
     """The first centre whose ball of radius r/2, built as a subgraph, is not
     chordal, with that ball's hole; (True, None) if there is none."""
     for v in g.vertices:
-        sub = full_bfs_ball(g, v, r).subgraph
+        sub = full_bfs_ball(g, v, r)
         if pairwise_verify_peo(sub, quadratic_mcs_order(sub)[::-1]) is not None:
             return False, (v, subgraph_find_hole(sub))
     return True, None
+
+
+def subgraph_ball_check(pres: VoltagePresentation, r: int, L: int):
+    """(centres checked, the first whose window ball the projection does not
+    map isomorphically onto its base ball, or None), over the centres at
+    least r // 2 voltage-steps inside the window of radius L."""
+    win, g = derive_window(pres, L), pres.base
+    checked = 0
+    for x in win.window.vertices:
+        if not win.safe(x, r // 2):
+            continue
+        checked += 1
+        up = win.window.ball(x, r)
+        down = g.ball(win.base_of[x], r)
+        images = [win.base_of[y] for y in up.vertices]
+        iso = (
+            len(set(images)) == len(up)
+            and set(images) == set(down.vertices)
+            and all(
+                up.has_edge(y, z) == down.has_edge(win.base_of[y], win.base_of[z])
+                for y, z in itertools.combinations(up.vertices, 2)
+            )
+        )
+        if not iso:
+            return checked, x
+    return checked, None
 
 
 def recursive_long_induced_cycle(g: Graph, r: int) -> Optional[List[str]]:
@@ -1080,22 +1110,19 @@ def pairwise_construct_N(g: Graph) -> NestedSetLevels:
     if not g.is_connected():
         raise PreconditionViolated("graph must be connected")
     cliques = maximal_cliques(g)
-    bottlenecks = [
-        beta(g, cliques[i], cliques[j], check=False)
-        for i in range(len(cliques))
-        for j in range(i + 1, len(cliques))
-    ]
     by_order = {}
-    for b in bottlenecks:
-        by_order.setdefault(b.order, []).append(b)
+    for i, x in enumerate(cliques):
+        for y in cliques[i + 1 :]:
+            b = beta(g, x, y, check=False)
+            by_order.setdefault(b.order, []).append(((x, y), b))
 
     result = NestedSetLevels()
     for k in sorted(by_order):
         level_bottlenecks = by_order[k]
-        pool = sorted({s for b in level_bottlenecks for s in b.separations})
+        pool = sorted({s for _, b in level_bottlenecks for s in b.separations})
         xk = {s: crossing_count(s, pool) for s in pool}
         chosen_level = set()
-        for b in level_bottlenecks:
+        for pair, b in level_bottlenecks:
             candidates = [
                 s
                 for s in b.separations
@@ -1103,7 +1130,7 @@ def pairwise_construct_N(g: Graph) -> NestedSetLevels:
             ]
             if not candidates:
                 raise EmptyBottleneckSelection(
-                    f"no candidate for clique pair {b.pair} at order {k}"
+                    f"no candidate for clique pair {pair} at order {k}"
                 )
             best = min(xk[s] for s in candidates)
             chosen_level.update(s for s in candidates if xk[s] == best)
@@ -1303,7 +1330,7 @@ def checked_graph_from_json(data: dict) -> Graph:
 
 def checked_td_from_json(data: dict) -> TreeDecomposition:
     """The tree-decomposition JSON reader, each node, bag and edge checked
-    on its own."""
+    on its own, and each end of each edge looked up among the nodes."""
     _json_fields(data, "tree-decomposition JSON", ("nodes", "edges"))
     bags = {}
     for node in _json_list(data.get("nodes", []), "tree-decomposition JSON 'nodes'"):
@@ -1315,7 +1342,12 @@ def checked_td_from_json(data: dict) -> TreeDecomposition:
         bags[node["id"]] = frozenset(_json_strings(node["bag"], "node JSON 'bag'"))
     edges = _json_list(data.get("edges", []), "tree-decomposition JSON 'edges'")
     pairs = [_json_pair(e, "a tree-decomposition edge") for e in edges]
-    return TreeDecomposition(tree=checked_graph(list(bags), pairs), bags=bags)
+    tree = checked_graph(list(bags), pairs)
+    for e in edges:
+        for t in e:
+            if t not in bags:
+                raise ValueError(f"tree-decomposition edge {e!r} names {t!r}, a node with no bag")
+    return TreeDecomposition(tree=tree, bags=bags)
 
 
 class NestednessViolation(CliquedecError):

@@ -320,7 +320,7 @@ def _assert_r_locally_chordal_matches_oracle(g):
     # any MCS order decides chordality, so the ball's order is pinned on its own
     for k in range(1, 5):
         for v in g.vertices:
-            ball = full_bfs_ball(g, v, 2 * k).subgraph
+            ball = full_bfs_ball(g, v, 2 * k)
             assert mcs_order(g, g.distances_from(v, k)) == quadratic_mcs_order(ball), (g, v, k)
 
 

@@ -207,7 +207,7 @@ _PRES = cycle_z_presentation(6).to_json_dict()
         (
             "verify-td",
             {"nodes": [_TD_NODE], "edges": [["t0", "t1"]]},
-            "error: bags and tree nodes do not match",
+            "error: tree-decomposition edge ['t0', 't1'] names 't1', a node with no bag",
         ),
     ],
     ids=[

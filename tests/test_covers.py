@@ -43,7 +43,7 @@ from cliquedec.instances import (
 from cliquedec.nested import construct_N
 from cliquedec.treedec import build_td_from_nested, classify_td
 
-from oracles import scan_fold, scan_separation_signature
+from oracles import scan_fold, scan_separation_signature, subgraph_ball_check
 from test_chordal import _graphs_built
 
 
@@ -104,7 +104,7 @@ def test_derive_window_double_ray_segment():
     assert win.window.edge_count() == 29
     degrees = sorted(win.window.degree(v) for v in win.window.vertices)
     assert degrees.count(1) == 2 and degrees.count(2) == 28
-    assert len(win.boundary) == 12
+    assert sum(len(w) == 2 for w in win.word_of.values()) == 12
 
 
 def test_identity_window_is_base():
@@ -159,6 +159,50 @@ def test_verify_cover_checks_cliques_on_large_windows(monkeypatch):
     assert len(report["window"].window) == 414
     assert sizes == [414]
     assert report["free_on_cliques"] and report["ok"]
+
+
+def _assert_ball_check_matches_oracle(pres, r, L):
+    checked, failing = subgraph_ball_check(pres, r, L)
+    if failing is None:
+        assert verify_cover(pres, r, L)["checked_centers"] == checked, (r, L)
+    else:
+        with pytest.raises(BallNotPreserved) as exc:
+            verify_cover(pres, r, L)
+        assert exc.value.center == failing, (r, L)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ball_check_matches_subgraph_oracle_cycle_covers(n):
+    # the r/2-balls of Cn close up iff 2 (r // 2) + 1 >= n: both verdicts occur
+    for r in range(3, 7):
+        for L in (r + 2, r + 4):
+            _assert_ball_check_matches_oracle(cycle_z_presentation(n), r, L)
+
+
+@pytest.mark.parametrize("g", [two_triangles(), wheel()], ids=["two_triangles", "wheel"])
+def test_ball_check_matches_subgraph_oracle_identity_covers(g):
+    for r in range(3, 7):
+        _assert_ball_check_matches_oracle(identity_presentation(g), r, r + 2)
+
+
+def test_ball_check_matches_subgraph_oracle_f2(f2_presentation):
+    _assert_ball_check_matches_oracle(f2_presentation, 3, 5)
+
+
+def test_ball_check_matches_subgraph_oracle_past_the_first_centre():
+    # a C4 on a tail a-b: the balls of radius 2 at a and b hold no cycle, the
+    # one at c0 holds the C4, which the cover unrolls
+    ring = [("b", "c0"), ("c0", "c1"), ("c1", "c2"), ("c2", "c3")]
+    base = Graph(["a", "b"], [("a", "b")] + ring + [("c3", "c0")])
+    tree = frozenset(frozenset(e) for e in [("a", "b")] + ring)
+    pres = VoltagePresentation(base=base, tree_edges=tree, voltages={("c3", "c0"): parse_word("z")})
+    assert subgraph_ball_check(pres, 4, 6) == (3, "c0@1")
+    _assert_ball_check_matches_oracle(pres, 4, 6)
+
+
+def test_verify_cover_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        verify_cover(cycle_z_presentation(6), -1, 3)
 
 
 # -- lift / project -----------------------------------------------------

@@ -78,10 +78,10 @@ def test_ball_both_parities_are_induced():
     g = Graph("abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "a")])
     b2 = g.ball("a", 2)
     b3 = g.ball("a", 3)
-    assert set(b2.subgraph.vertices) == {"a", "b", "f"}
-    assert set(b3.subgraph.vertices) == {"a", "b", "f"}
-    assert b3.subgraph.edges() == g.induced({"a", "b", "f"}).edges()
-    assert set(g.ball("a", 4).subgraph.vertices) == {"a", "b", "c", "e", "f"}
+    assert set(b2.vertices) == {"a", "b", "f"}
+    assert set(b3.vertices) == {"a", "b", "f"}
+    assert b3.edges() == g.induced({"a", "b", "f"}).edges()
+    assert set(g.ball("a", 4).vertices) == {"a", "b", "c", "e", "f"}
     with pytest.raises(ValueError):
         g.ball("a", -1)
 
@@ -90,8 +90,8 @@ def test_ball_matches_full_bfs_oracle(suite2):
     for g in suite2:
         for v in g.vertices:
             for radius2 in range(7):
-                b = g.ball(v, radius2).subgraph
-                o = full_bfs_ball(g, v, radius2).subgraph
+                b = g.ball(v, radius2)
+                o = full_bfs_ball(g, v, radius2)
                 assert (b.vertices, b.edges()) == (o.vertices, o.edges())
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquedec.chordal import MaximalClique, maximal_cliques
+from cliquedec.chordal import maximal_cliques
 from cliquedec.covers import derive_window
 from cliquedec.errors import EmptyBottleneckSelection, NotChordal, PreconditionViolated
 from cliquedec.graph import Graph
@@ -202,8 +202,7 @@ def test_empty_bottleneck_selection_is_raised():
     assert relate(chosen, crossing) == CROSSING and relate(chosen, nested) == NESTED
 
     def bottleneck(*seps):
-        pair = (MaximalClique(frozenset({a, b})), MaximalClique(frozenset({d, e})))
-        return Bottleneck(pair=pair, order=seps[0].order, separations=seps)
+        return Bottleneck(order=seps[0].order, separations=seps)
 
     n = construct_N(g, [bottleneck(chosen), bottleneck(crossing, nested)])
     assert n.levels == {1: {chosen}, 2: {nested}}

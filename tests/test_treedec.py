@@ -298,6 +298,24 @@ def test_readers_reject_an_edge_as_the_checked_readers_do(edge):
 
 
 @pytest.mark.parametrize(
+    "edges, named",
+    [([["t0", "t1"]], "['t0', 't1'] names 't1'"),
+     ([["t0", "t1"], ["t2", "t0"]], "['t0', 't1'] names 't1'"),
+     ([["t9", "t0"], ["t0", "t1"]], "['t9', 't0'] names 't9'"),
+     ([["t0", "t1"], ["t0", "t0"]], None)],
+)
+def test_readers_name_the_first_edge_to_a_node_with_no_bag(edges, named):
+    """A loop anywhere is found first, when the edges are read into the tree."""
+    tj = {"nodes": [{"id": "t0", "bag": ["v0"]}], "edges": edges}
+    want = _outcome(checked_td_from_json, tj)
+    assert _outcome(TreeDecomposition.from_json_dict, tj) == want
+    if named is None:
+        assert want[0] is LoopEdge
+    else:
+        assert want == (ValueError, f"tree-decomposition edge {named}, a node with no bag")
+
+
+@pytest.mark.parametrize(
     "node",
     [{"id": "t1", "bag": "ab"}, {"id": "t1", "bag": {"v0": 1}}, {"id": "t1", "bag": [3]},
      {"id": "t1", "bag": ["v0", None]}, {"id": "t1", "bag": 5}, {"id": 3, "bag": []},
